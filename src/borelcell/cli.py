@@ -445,7 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a complex file resolves its ideal")
     p.add_argument("--in", dest="in_path", required=True, help="complex JSON file")
     p.add_argument("--report", help="write a JSON report")
-    p.add_argument("--jobs", type=int, default=1, help="parallel degree checks")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility; degrees are checked serially",
+    )
     _add_field_flag(p)
     _add_ideal_flags(p)
 

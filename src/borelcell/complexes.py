@@ -299,7 +299,11 @@ def scale_labels(X: LabeledComplex, mu: Monomial) -> LabeledComplex:
 
 
 def restrict(X: LabeledComplex, b: Monomial) -> LabeledComplex:
-    """The subcomplex of cells whose label divides b."""
+    """The subcomplex of cells whose label divides b.
+
+    verify_resolution selects the same cells by bitmask without building a
+    complex; this is the reference its per-degree results are tested against.
+    """
     if b.n != X.n:
         raise ValueError("ambient mismatch")
     faces = {f: d for f, d in X.faces.items() if X.labels[f].divides(b)}

@@ -12,13 +12,18 @@ from dataclasses import dataclass
 __all__ = ["Field", "rank_rationals", "rank_mod_p", "is_prime"]
 
 
+def _check_rectangular(a: list[list[int]]) -> None:
+    if any(len(r) != len(a[0]) for r in a):
+        raise ValueError("matrix rows must all have the same length")
+
+
 def rank_rationals(rows: list[list[int]]) -> int:
     """Rank of an integer matrix over Q by fraction-free elimination."""
     a = [list(r) for r in rows]
+    _check_rectangular(a)
     if not a or not a[0]:
         return 0
     nrows, ncols = len(a), len(a[0])
-    assert all(len(r) == ncols for r in a)
     rank = 0
     prev = 1
     col = 0
@@ -43,6 +48,7 @@ def rank_rationals(rows: list[list[int]]) -> int:
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
     a = [[v % p for v in r] for r in rows]
+    _check_rectangular(a)
     if not a or not a[0]:
         return 0
     nrows, ncols = len(a), len(a[0])

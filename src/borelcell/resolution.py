@@ -8,14 +8,34 @@ ideal generated by the vertex labels exactly when, for every degree b in
 the lcm lattice, the subcomplex of cells whose label divides b has zero
 reduced homology; it is minimal exactly when no cell shares its label with
 one of its facets.  Homology ranks are computed exactly (see exact.py).
+
+verify_resolution decides every degree with one kernel over the cells of
+the already oriented complex, in three steps:
+
+select     AND one "exponent <= b_v" bitmask per variable v over cell ids.
+           The result is the subcomplex of cells whose label divides b; it
+           is closed under faces (a face's label divides its cell's), so
+           every selected cell keeps its facets, ridges and the parent's
+           verified signs, and nothing needs re-orienting.
+collapse   repeatedly delete a cell with exactly one remaining coface
+           together with that coface.  In a regular complex the coface is
+           then a maximal cell (a coface of it would contain the free cell
+           as a ridge, which lies in two of its facets), so this is an
+           elementary collapse: a homotopy equivalence, and over Z a chain
+           homotopy equivalence onto the remaining subcomplex with its
+           original signs (Batzies-Welker; Kaczynski-Mischaikow-Mrozek).
+eliminate  a residue of one vertex is acyclic over every field.  Otherwise
+           the residual boundary matrices are ranked over the requested
+           field; the residue has the reduced homology of the selected
+           subcomplex, so the reported homology and witnesses are exactly
+           those of homology_dims(restrict(X, b), field).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .borel import BorelIdeal
-from .complexes import Cell, LabeledComplex, restrict
+from .complexes import Cell, LabeledComplex
 from .exact import Field
 from .lattice import build_lattice
 from .monomials import Monomial, canonical_key
@@ -40,7 +60,7 @@ class ChainComplex:
 
     matrices[i] maps dimension-i cells to dimension-(i-1) cells (i >= 1);
     entry [row][col] is the orientation sign.  Multidegrees live on the
-    bases; divisibility of facet labels into cell labels is asserted when
+    bases; divisibility of facet labels into cell labels is checked when
     the matrices are assembled.
     """
 
@@ -52,34 +72,66 @@ def chain_complex(X: LabeledComplex) -> ChainComplex:
     cells = X.cells
     if not cells:
         return ChainComplex(bases=(), matrices=())
-    by_dim: list[list[Cell]] = [[] for _ in range(X.dim + 1)]
+    by_dim: list[list[int]] = [[] for _ in range(X.dim + 1)]
     for c in cells:
-        by_dim[c.dim].append(c)
-    pos = {c.id: i for dim_cells in by_dim for i, c in enumerate(dim_cells)}
-    matrices = []
-    for d in range(1, X.dim + 1):
-        rows = len(by_dim[d - 1])
-        mat = [[0] * len(by_dim[d]) for _ in range(rows)]
-        for j, c in enumerate(by_dim[d]):
-            for fid, sign in c.facets:
-                f = cells[fid]
-                assert f.label.divides(c.label)
-                mat[pos[fid]][j] = sign
-        matrices.append(tuple(tuple(r) for r in mat))
+        by_dim[c.dim].append(c.id)
     return ChainComplex(
-        bases=tuple(tuple(dc) for dc in by_dim),
-        matrices=tuple(matrices),
+        bases=tuple(tuple(cells[i] for i in ids) for ids in by_dim),
+        matrices=tuple(
+            tuple(tuple(r) for r in M) for M in _sign_matrices(cells, by_dim)
+        ),
     )
 
 
+def _sign_matrices(cells, by_dim: list[list[int]]) -> list[list[list[int]]]:
+    """Boundary sign matrices between consecutive lists of cell ids.
+
+    Every facet of a listed cell must itself be listed one dimension down.
+    """
+    matrices = []
+    for d in range(1, len(by_dim)):
+        pos = {i: r for r, i in enumerate(by_dim[d - 1])}
+        mat = [[0] * len(by_dim[d]) for _ in by_dim[d - 1]]
+        for j, i in enumerate(by_dim[d]):
+            c = cells[i]
+            for fid, sign in c.facets:
+                f = cells[fid]
+                if not f.label.divides(c.label):
+                    raise ValueError(
+                        f"facet label {f.label} does not divide "
+                        f"cell label {c.label}"
+                    )
+                mat[pos[fid]][j] = sign
+        matrices.append(mat)
+    return matrices
+
+
+def _sparse_columns(M) -> list[list[tuple[int, int]]]:
+    cols: list[list[tuple[int, int]]] = [[] for _ in (M[0] if M else ())]
+    for i, row in enumerate(M):
+        for j, v in enumerate(row):
+            if v:
+                cols[j].append((i, v))
+    return cols
+
+
 def check_boundary_squared_zero(C: ChainComplex) -> bool:
-    """True iff consecutive sign matrices compose to zero."""
+    """True iff consecutive sign matrices compose to zero.
+
+    Only nonzero entries are composed, column by column of the product.
+    """
     for D1, D2 in zip(C.matrices, C.matrices[1:]):
         # D1: C_d -> C_{d-1}, D2: C_{d+1} -> C_d
-        for col in range(len(D2[0]) if D2 else 0):
-            for row in range(len(D1)):
-                if sum(D1[row][k] * D2[k][col] for k in range(len(D2))) != 0:
-                    return False
+        if not D1:
+            continue  # no (d-1)-cells, so the product has no rows
+        cols1 = _sparse_columns(D1)
+        for col in _sparse_columns(D2):
+            acc: dict[int, int] = {}
+            for k, v2 in col:
+                for row, v1 in cols1[k]:
+                    acc[row] = acc.get(row, 0) + v1 * v2
+            if any(acc.values()):
+                return False
     return True
 
 
@@ -93,14 +145,15 @@ def homology_dims(X: LabeledComplex, fld: Field) -> tuple[int, ...]:
     if not X.faces:
         return ()
     C = chain_complex(X)
-    f = [len(b) for b in C.bases]
-    ranks = [1]  # augmentation C_0 -> k has rank 1 on a nonempty complex
-    ranks += [fld.rank([list(r) for r in M]) for M in C.matrices]
-    ranks.append(0)
-    dims = [1 - ranks[0]]
-    for i in range(len(f)):
-        dims.append(f[i] - ranks[i] - ranks[i + 1])
-    return tuple(dims)
+    ranks = [fld.rank([list(r) for r in M]) for M in C.matrices]
+    return _reduced_dims([len(b) for b in C.bases], ranks)
+
+
+def _reduced_dims(f: list[int], ranks: list[int]) -> tuple[int, ...]:
+    """(H_{-1}, ..., H_top) of a nonempty complex from its f-vector and the
+    ranks of its boundary maps in dimensions 1..top."""
+    ranks = [1] + ranks + [0]  # the augmentation C_0 -> k has rank 1
+    return (0,) + tuple(f[i] - ranks[i] - ranks[i + 1] for i in range(len(f)))
 
 
 @dataclass(frozen=True)
@@ -134,28 +187,100 @@ class ResolutionReport:
         }
 
 
-def _acyclicity_check(X: LabeledComplex, I: BorelIdeal, fld: Field, b: Monomial):
-    sub = restrict(X, b)
-    if not sub.faces:
-        ok = not any(g.divides(b) for g in I.expanded)
-        witness = None if ok else {"reason": "void restriction at a degree in the ideal"}
-    else:
-        dims = homology_dims(sub, fld)
-        ok = all(h == 0 for h in dims)
-        witness = None
-        if not ok:
-            witness = {
-                "reduced_homology": list(dims),
-                "first_nonzero": next(
-                    i - 1 for i, h in enumerate(dims) if h != 0
-                ),
-            }
-    return CheckResult(
-        name="acyclic",
-        status="pass" if ok else "fail",
-        degree=b.canonical(),
-        witness=witness,
-    )
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _acyclicity_checks(
+    X: LabeledComplex, I: BorelIdeal, fld: Field, degrees
+) -> list[CheckResult]:
+    """One check per degree: select, collapse, eliminate (module docstring)."""
+    cells = X.cells  # cell ids are positions, ordered by dimension
+    facets = [[fid for fid, _ in c.facets] for c in cells]
+    comask = [0] * len(cells)
+    for c in cells:
+        for fid in facets[c.id]:
+            comask[fid] |= 1 << c.id
+    # below[v][k]: cells whose label has exponent at most k in variable v
+    below = []
+    for v in range(X.n):
+        masks = [0] * (max(c.label.exps[v] for c in cells) + 1)
+        for c in cells:
+            masks[c.label.exps[v]] |= 1 << c.id
+        for k in range(1, len(masks)):
+            masks[k] |= masks[k - 1]
+        below.append(masks)
+
+    everything = (1 << len(cells)) - 1
+    checks = []
+    for b in degrees:
+        live = everything
+        for masks, e in zip(below, b.exps):
+            if e < len(masks) - 1:
+                live &= masks[e]
+        if not live:
+            ok = not any(g.divides(b) for g in I.expanded)
+            witness = None if ok else {"reason": "void restriction at a degree in the ideal"}
+        else:
+            top = cells[live.bit_length() - 1].dim
+            residue = _collapse(live, comask, facets)
+            if residue & (residue - 1) == 0:
+                dims = (0,) * (top + 2)
+            else:
+                dims = _residual_homology(cells, _bits(residue), top, fld)
+            ok = not any(dims)
+            witness = None
+            if not ok:
+                witness = {
+                    "reduced_homology": list(dims),
+                    "first_nonzero": next(
+                        i - 1 for i, h in enumerate(dims) if h != 0
+                    ),
+                }
+        checks.append(
+            CheckResult(
+                name="acyclic",
+                status="pass" if ok else "fail",
+                degree=b.canonical(),
+                witness=witness,
+            )
+        )
+    return checks
+
+
+def _collapse(live: int, comask: list[int], facets: list[list[int]]) -> int:
+    """The cells left of a face-closed selection after elementary collapses."""
+    selected = _bits(live)
+    count = {i: (comask[i] & live).bit_count() for i in selected}
+    free = [i for i in reversed(selected) if count[i] == 1]
+    while free:
+        f = free.pop()
+        if not live >> f & 1 or count[f] != 1:
+            continue
+        c = (comask[f] & live).bit_length() - 1  # maximal: module docstring
+        live ^= (1 << f) | (1 << c)
+        for g in facets[c] + facets[f]:
+            if g != f:
+                count[g] -= 1
+                if count[g] == 1:
+                    free.append(g)
+    return live
+
+
+def _residual_homology(cells, residue: list[int], top: int, fld: Field):
+    """Reduced homology of the subcomplex on the residual cell ids."""
+    by_dim: list[list[int]] = [[] for _ in range(top + 1)]
+    for i in residue:
+        by_dim[cells[i].dim].append(i)
+    # collapses keep the residue face-closed, as _sign_matrices needs
+    ranks = [fld.rank(M) for M in _sign_matrices(cells, by_dim)]
+    return _reduced_dims([len(ids) for ids in by_dim], ranks)
 
 
 def verify_resolution(
@@ -168,9 +293,12 @@ def verify_resolution(
 
     Verifies the squared differential and, for every lcm-lattice degree b
     above the bottom (top included), that the label-restricted subcomplex
-    has zero reduced homology.  Results are aggregated in a fixed degree
-    order so reports are reproducible for any job count.
+    has zero reduced homology.  Degrees are checked serially in a fixed
+    order; jobs (at least 1) is accepted for compatibility and does not
+    change the work or the report.
     """
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if set(X.vertex_labels) != set(I.expanded):
         raise ValueError("vertex labels differ from the minimal generators")
     checks = [
@@ -186,13 +314,7 @@ def verify_resolution(
         for b in sorted(build_lattice(I).elements, key=canonical_key)
         if not b.is_unit
     ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            checks += list(
-                ex.map(lambda b: _acyclicity_check(X, I, fld, b), degrees)
-            )
-    else:
-        checks += [_acyclicity_check(X, I, fld, b) for b in degrees]
+    checks += _acyclicity_checks(X, I, fld, degrees)
     ok = all(c.status == "pass" for c in checks)
     return ResolutionReport(ok=ok, field=str(fld), checks=tuple(checks), subject=X)
 

@@ -65,6 +65,11 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(f"invalid complex file: {message}")
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int: 1 == True, 0 == False
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def dict_to_complex(data: dict) -> LabeledComplex:
     _require(isinstance(data, dict), "top level must be an object")
     _require(
@@ -72,7 +77,7 @@ def dict_to_complex(data: dict) -> LabeledComplex:
         "top-level keys must be vars, vertices, cells",
     )
     n = data["vars"]
-    _require(isinstance(n, int) and n >= 1, "vars must be a positive integer")
+    _require(_is_int(n) and n >= 1, "vars must be a positive integer")
     _require(isinstance(data["vertices"], list), "vertices must be a list")
     _require(isinstance(data["cells"], list), "cells must be a list")
 
@@ -83,7 +88,7 @@ def dict_to_complex(data: dict) -> LabeledComplex:
             "vertex records carry id and label",
         )
         vid = rec["id"]
-        _require(isinstance(vid, int) and vid not in vlabels, "vertex ids unique")
+        _require(_is_int(vid) and vid not in vlabels, "vertex ids unique")
         vlabels[vid] = parse_monomial(rec["label"], n)
     _require(
         len(set(vlabels.values())) == len(vlabels), "vertex labels distinct"
@@ -99,11 +104,11 @@ def dict_to_complex(data: dict) -> LabeledComplex:
             "cell records carry id, dim, vertices, label, facets",
         )
         cid = rec["id"]
-        _require(isinstance(cid, int) and cid not in keys, "cell ids unique")
-        _require(isinstance(rec["dim"], int), "dim must be an integer")
+        _require(_is_int(cid) and cid not in keys, "cell ids unique")
+        _require(_is_int(rec["dim"]), "dim must be an integer")
         _require(isinstance(rec["vertices"], list), "cell vertices must be a list")
         _require(
-            all(isinstance(v, int) and v in vlabels for v in rec["vertices"]),
+            all(_is_int(v) and v in vlabels for v in rec["vertices"]),
             "cell vertices reference known vertex ids",
         )
         key = frozenset(vlabels[v] for v in rec["vertices"])
@@ -134,8 +139,8 @@ def dict_to_complex(data: dict) -> LabeledComplex:
                 "facets are [id, sign] pairs",
             )
             fid, sign = pair
-            _require(isinstance(fid, int) and fid in keys, "facet ids known")
-            _require(sign in (1, -1), "facet signs are +1 or -1")
+            _require(_is_int(fid) and fid in keys, "facet ids known")
+            _require(_is_int(sign) and sign in (1, -1), "facet signs are +1 or -1")
             _require(keys[fid] < key, "facets are proper vertex subsets")
             _require(
                 dims[fid] == rec["dim"] - 1,

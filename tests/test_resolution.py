@@ -1,10 +1,15 @@
-import pytest
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from borelcell import exact
 from borelcell.borel import BorelIdeal, expand_principal
 from borelcell.builders import borel_complex, power_complex, principal_complex
-from borelcell.complexes import LabeledComplex, simplex
-from borelcell.exact import Field
-from borelcell.monomials import VarRange, parse_monomial
+from borelcell.complexes import Cell, LabeledComplex, restrict, simplex
+from borelcell.exact import Field, rank_mod_p, rank_rationals
+from borelcell.lattice import build_lattice
+from borelcell.monomials import VarRange, monomials_of_degree, parse_monomial
 from borelcell.resolution import (
     ChainComplex,
     betti_from_cells,
@@ -62,6 +67,34 @@ class TestChainComplex:
         bad = ChainComplex(bases=(), matrices=(((1, 1),), ((1,), (1,))))
         assert not check_boundary_squared_zero(bad)
 
+    def test_boundary_squared_cancellation_needs_every_term(self):
+        # one column of the product sums two nonzero terms; dropping or
+        # double-counting either one would be noticed
+        good = ChainComplex(bases=(), matrices=(((1, 1),), ((1,), (-1,))))
+        assert check_boundary_squared_zero(good)
+        bad = ChainComplex(bases=(), matrices=(((1, 1), (0, 1)), ((1,), (-1,))))
+        assert not check_boundary_squared_zero(bad)
+
+    def test_facet_label_must_divide_cell_label(self):
+        # cells that no LabeledComplex would produce: the edge label misses b
+        cells = (
+            Cell(id=0, dim=0, vertices=(0,), label=m("a"), facets=()),
+            Cell(id=1, dim=0, vertices=(1,), label=m("b"), facets=()),
+            Cell(id=2, dim=1, vertices=(0, 1), label=m("a"), facets=((0, 1), (1, -1))),
+        )
+        with pytest.raises(ValueError, match="does not divide"):
+            chain_complex(SimpleNamespace(cells=cells, dim=1))
+
+
+class TestRankShape:
+    @pytest.mark.parametrize(
+        "rank", [rank_rationals, lambda rows: rank_mod_p(rows, 7)]
+    )
+    def test_ragged_rows_rejected(self, rank):
+        for rows in ([[1, 2], [3]], [[], [1]]):
+            with pytest.raises(ValueError, match="same length"):
+                rank(rows)
+
 
 class TestHomology:
     def test_solid_triangle_is_acyclic(self):
@@ -114,6 +147,13 @@ class TestVerifyResolution:
         serial = verify_resolution(X, I, jobs=1)
         parallel = verify_resolution(X, I, jobs=4)
         assert serial.as_dict() == parallel.as_dict()
+
+    def test_jobs_validated(self):
+        I = expand_principal(m("c"))
+        X = simplex([m("a"), m("b"), m("c")])
+        for bad in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="jobs"):
+                verify_resolution(X, I, jobs=bad)
 
     def test_mod_p_agrees_with_rationals(self):
         I = BorelIdeal.from_borel_gens(3, [m("b^2*c"), m("a*c^2")])
@@ -194,3 +234,105 @@ class TestBettiFromCells:
 
     def test_totals_of_empty_table(self):
         assert betti_totals({}) == ()
+
+
+def drop_maximal_cell(X, pick):
+    """X without one of its maximal cells of positive dimension, or None."""
+    cells = X.cells
+    facet_ids = {fid for c in cells for fid, _ in c.facets}
+    tops = [c for c in cells if c.dim > 0 and c.id not in facet_ids]
+    if not tops:
+        return None
+    victim = tops[pick % len(tops)]
+    key = frozenset(X.vertex_labels[v] for v in victim.vertices)
+    return LabeledComplex(X.n, {f: d for f, d in X.faces.items() if f != key})
+
+
+def oracle_check(X, I, fld, b):
+    """(status, witness) of one degree from the restrict/homology_dims path."""
+    dims = homology_dims(restrict(X, b), fld)
+    if not dims:
+        ok = not any(g.divides(b) for g in I.expanded)
+        return ("pass", None) if ok else (
+            "fail", {"reason": "void restriction at a degree in the ideal"}
+        )
+    if not any(dims):
+        return "pass", None
+    first = next(i - 1 for i, h in enumerate(dims) if h)
+    return "fail", {"reduced_homology": list(dims), "first_nonzero": first}
+
+
+def assert_matches_oracle(X, I, fld):
+    report = verify_resolution(X, I, fld)
+    acyc = [c for c in report.checks if c.name == "acyclic"]
+    degrees = [b for b in build_lattice(I).sorted_elements if not b.is_unit]
+    assert [c.degree for c in acyc] == [b.canonical() for b in degrees]
+    for c, b in zip(acyc, degrees):
+        assert (c.status, c.witness) == oracle_check(X, I, fld, b), c.degree
+    return report
+
+
+small_borel = st.integers(2, 4).flatmap(
+    lambda n: st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            st.just(n),
+            st.lists(
+                st.sampled_from(list(monomials_of_degree(n, d))),
+                min_size=1,
+                max_size=3,
+            ),
+        )
+    )
+)
+
+
+class TestKernelAgainstRestrictOracle:
+    """verify's select/collapse/eliminate kernel against restrict + homology_dims."""
+
+    @given(
+        small_borel,
+        st.sampled_from(["q", "p:2"]),
+        st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_degree_matches(self, ideal, field_text, pick):
+        n, gens = ideal
+        I = BorelIdeal.from_borel_gens(n, gens)
+        X = borel_complex(I)
+        if pick is not None:
+            X = drop_maximal_cell(X, pick) or X
+        assert_matches_oracle(X, I, Field.parse(field_text))
+
+    @pytest.mark.parametrize("field_text", ["q", "p:2", "p:32003"])
+    def test_stuck_collapse_is_decided_by_elimination(self, monkeypatch, field_text):
+        # every vertex of the hollow square has two cofaces, so nothing
+        # collapses at a*b*c*d and elimination must find the loop; every
+        # other degree selects a path (which collapses) or a set of
+        # points (rank-free), so that is the only rank computed
+        calls = []
+        for name in ("rank_rationals", "rank_mod_p"):
+            real = getattr(exact, name)
+            monkeypatch.setattr(
+                exact, name, lambda *a, real=real: calls.append(a) or real(*a)
+            )
+        I = expand_principal(m("d", 4))
+        fld = Field.parse(field_text)
+        verify_resolution(hollow_square(), I, fld)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        report = assert_matches_oracle(hollow_square(), I, fld)
+        assert not report.ok
+        top = next(c for c in report.checks if c.degree == "x1*x2*x3*x4")
+        assert top.witness == {"reduced_homology": [0, 0, 1], "first_nonzero": 1}
+        path = next(c for c in report.checks if c.degree == "x1*x2*x3")
+        assert path.status == "pass"
+
+    def test_collapsible_degrees_need_no_rank(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            exact, "rank_rationals", lambda rows: calls.append(rows) or 0
+        )
+        report = verify_resolution(
+            power_complex(3, VarRange(1, 3), 3), expand_principal(m("c^3"))
+        )
+        assert report.ok and not calls

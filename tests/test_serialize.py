@@ -196,3 +196,59 @@ class TestImportValidation:
         X = dict_to_complex(data)
         assert X != p2abc()
         assert X.f_vector() == (6, 8, 2)
+
+
+def _set_vars(data):
+    data["vars"] = True
+
+
+def _set_vertex_id(data):
+    data["vertices"][1]["id"] = True
+
+
+def _set_cell_id(data):
+    data["cells"][1]["id"] = True
+
+
+def _set_dim(data):
+    data["cells"][1]["dim"] = False
+
+
+def _set_cell_vertex(data):
+    data["cells"][1]["vertices"] = [True]
+
+
+def _set_facet_id(data):
+    pair = next(p for rec in data["cells"] for p in rec["facets"] if p[0] == 1)
+    pair[0] = True
+
+
+def _set_facet_sign(data):
+    pair = next(
+        p for rec in data["cells"] for p in rec["facets"] if p[1] == 1
+    )
+    pair[1] = True
+
+
+class TestBoolsRejected:
+    """JSON true/false equal 1/0 in Python; none may stand in for an int."""
+
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (_set_vars, "positive integer"),
+            (_set_vertex_id, "vertex ids unique"),
+            (_set_cell_id, "cell ids unique"),
+            (_set_dim, "dim must be an integer"),
+            (_set_cell_vertex, "known vertex ids"),
+            (_set_facet_id, "facet ids known"),
+            (_set_facet_sign, "+1 or -1"),
+        ],
+    )
+    def test_bool_in_place_of_int(self, edit, fragment):
+        # one variable for vars, so that True == 1 names a ring the labels fit
+        X = p2abc() if edit is not _set_vars else power_complex(1, VarRange(1, 1), 2)
+        data = complex_to_dict(X)
+        assert dict_to_complex(json.loads(json.dumps(data))) == X
+        edit(data)
+        reject(json.loads(json.dumps(data)), fragment)
