@@ -93,7 +93,8 @@ class BorelIdeal:
         if not is_borel_fixed(gens):
             raise ValueError("generating set is not closed under exchange moves")
         ideal = cls.from_borel_gens(n, gens)
-        assert ideal.expanded == gens
+        if ideal.expanded != gens:
+            raise ValueError("Borel expansion does not reproduce the generating set")
         return ideal
 
     def __contains__(self, m: Monomial) -> bool:
@@ -164,7 +165,8 @@ def min_monomial(m1: Monomial, m2: Monomial) -> Monomial:
     for i in range(n - 1, -1, -1):
         mu[i] = min(s1[i], s2[i]) - tail
         tail += mu[i]
-    assert all(e >= 0 for e in mu) and sum(mu) == m1.degree
+    if any(e < 0 for e in mu) or sum(mu) != m1.degree:
+        raise ValueError(f"suffix minimum of {m1} and {m2} is not a monomial")
     return Monomial(tuple(mu))
 
 
@@ -247,7 +249,8 @@ def principal_decomposition(pf: PrincipalForm) -> list[tuple[PrincipalForm, VarR
         head_l = pf.lambdas[:j]
         head_d = pf.ds[:j]
         tail_exp = sum(pf.ds[j : s - 1])
-        assert tail_exp > 0 and (not head_l or head_l[-1] < k)
+        if tail_exp < 1 or (head_l and head_l[-1] >= k):
+            raise ValueError(f"summand {k} of the decomposition is malformed")
         nk = PrincipalForm(lambdas=head_l + (k,), ds=head_d + (tail_exp,))
         out.append((nk, VarRange(k, pf.lambdas[-1])))
     return out

@@ -93,9 +93,8 @@ def principal_complex(n: int, m: Monomial) -> LabeledComplex:
     if m.is_unit:
         raise ValueError("unit monomial has no resolving complex")
     X = _principal(n, m.exps)
-    assert set(X.vertex_labels) == set(
-        BorelIdeal.from_borel_gens(n, [m]).expanded
-    )
+    if set(X.vertex_labels) != BorelIdeal.from_borel_gens(n, [m]).expanded:
+        raise ValueError(f"vertices of the principal complex of {m} are not G(I)")
     return X
 
 
@@ -105,7 +104,8 @@ def borel_complex(I: BorelIdeal) -> LabeledComplex:
     for g in I.borel_gens:
         piece = principal_complex(I.n, g)
         out = piece if out is None else union(out, piece)
-    assert set(out.vertex_labels) == set(I.expanded)
+    if set(out.vertex_labels) != I.expanded:
+        raise ValueError(f"vertices of the complex of {I} are not G(I)")
     return out
 
 

@@ -33,7 +33,6 @@ from .borel import (
     borel_generators,
     eliahou_kervaire_betti,
     intersect_borel,
-    is_borel_fixed,
     min_monomial,
     parse_ideal_spec,
 )
@@ -289,22 +288,13 @@ def _run_betti(cfg: RunConfig) -> int:
     return 0 if agree else 1
 
 
-def _lattice_atoms(cfg: RunConfig):
-    n, kind, gens = _ideal_triple(cfg)
-    if kind == "borel":
-        return n, borel_generators(n, gens)
-    if len({g.degree for g in gens}) > 1:
-        raise ValueError(
-            "mono generator lists must share one degree; use borel for mixed"
-        )
-    if not is_borel_fixed(frozenset(gens)):
-        raise ValueError("mono generating set is not closed under exchange moves")
-    return n, tuple(sorted(set(gens), key=canonical_key))
-
-
 def _run_lattice(cfg: RunConfig) -> int:
-    n, atoms = _lattice_atoms(cfg)
-    L = build_lattice(list(atoms))
+    n, kind, gens = _ideal_triple(cfg)
+    # as in gen, Borel generators may mix degrees; an explicit set may not
+    if kind == "borel":
+        L = build_lattice(borel_generators(n, gens))
+    else:
+        L = build_lattice(_equal_degree_ideal(n, kind, gens))
     print(f"atoms: {len(L.atoms)}")
     print(f"elements: {len(L)}")
     config = {
@@ -357,7 +347,9 @@ def _run_lattice(cfg: RunConfig) -> int:
         rep = natural_label_check(L, lo, hi)
         print(f"interval [{lo}, {hi}]: {len(rep.chains)} maximal chains")
         print(f"increasing bottom-up: {len(rep.increasing)}")
-        print(f"decreasing from top: {len(rep.decreasing_from_top)}")
+        # reversing a walk reverses its labels: read from the top, the
+        # increasing chains are exactly the decreasing ones
+        print(f"decreasing from top: {len(rep.increasing)}")
         print(f"decreasing bottom-up: {len(rep.decreasing)}")
         result = {
             "interval": [lo.canonical(), hi.canonical()],
@@ -365,7 +357,7 @@ def _run_lattice(cfg: RunConfig) -> int:
             "labels": [list(ls) for ls in rep.labels],
             "increasing": list(rep.increasing),
             "decreasing": list(rep.decreasing),
-            "decreasing_from_top": list(rep.decreasing_from_top),
+            "decreasing_from_top": list(rep.increasing),
         }
         rc = 0
     body["result"] = result

@@ -7,9 +7,12 @@ complexes of convex polytopes in which each cell is the convex hull of its
 vertices: a cell whose vertex set sits inside another's is a face of it.
 
 Cell labels are the lcm of the vertex labels.  Boundary orientation signs
-are not carried through constructors; they are assigned once per finished
-complex, lazily, by a breadth-first walk of each cell's facet-ridge graph,
-then verified against every codimension-two cancellation constraint:
+are data: an import supplies one per (cell, facet) pair, while a built
+complex leaves them to be derived by a breadth-first walk of each cell's
+facet-ridge graph.  Either way one routine, `_finalize`, runs lazily once
+per complex: it derives the facet relation, requires supplied signs to
+cover exactly that relation, and checks every sign against every
+codimension-two cancellation constraint:
 
     sign(c, f) * sign(f, r) + sign(c, f') * sign(f', r) == 0
 
@@ -52,9 +55,13 @@ class Cell:
 
 
 class LabeledComplex:
-    """A monomial-labeled regular cell complex."""
+    """A monomial-labeled regular cell complex.
 
-    def __init__(self, n: int, faces) -> None:
+    faces maps vertex-label sets to dimensions; the optional signs map
+    (cell key, facet key) pairs to +1/-1 and are derived when omitted.
+    """
+
+    def __init__(self, n: int, faces, signs=None) -> None:
         if n < 1:
             raise ValueError("ambient ring needs at least one variable")
         faces = dict(faces)
@@ -80,6 +87,7 @@ class LabeledComplex:
                     raise ValueError(f"vertex {v} of a face is not a 0-cell")
         self.n = n
         self._faces = faces
+        self._signs = signs
 
     @property
     def faces(self):
@@ -123,15 +131,11 @@ class LabeledComplex:
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
         """Canonically ordered cells with verified orientation signs."""
-        return self._finalize(sign_map=None)
+        cells = self._finalize()
+        self._signs = None  # the cells carry them now
+        return cells
 
-    def _install_cells(self, sign_map) -> tuple[Cell, ...]:
-        """Adopt externally supplied signs (imports) after full verification."""
-        result = self._finalize(sign_map=sign_map)
-        self.__dict__["cells"] = result
-        return result
-
-    def _finalize(self, sign_map) -> tuple[Cell, ...]:
+    def _finalize(self) -> tuple[Cell, ...]:
         vid = {v: i for i, v in enumerate(self.vertex_labels)}
         keys = sorted(
             self._faces,
@@ -154,13 +158,29 @@ class LabeledComplex:
                     )
                 facets_of[f] = fs
 
-        signs: dict[tuple[FaceKey, FaceKey], int] = {}
-        self._orient_edges(buckets.get(1, []), vid, signs, sign_map)
+        signs = self._signs
+        derive = signs is None
+        if derive:
+            signs = {}
+        elif len(signs) != sum(map(len, facets_of.values())) or not all(
+            (f, t) in signs for f, fs in facets_of.items() for t in fs
+        ):
+            raise ValueError("signs do not match the face relation")
+        elif any(s not in (1, -1) for s in signs.values()):
+            raise ValueError("signs must be +1 or -1")
+
+        # an edge's two endpoint signs cancel under augmentation; derived,
+        # +1 goes on the rlex-greater endpoint label and -1 on the other
+        for e in buckets.get(1, []):
+            u, v = sorted(e, key=canonical_key)
+            hi, lo = (e, frozenset([u])), (e, frozenset([v]))
+            if derive:
+                signs[hi], signs[lo] = 1, -1
+            elif signs[hi] + signs[lo] != 0:
+                raise ValueError("edge endpoint signs must be opposite units")
         for d in range(2, self.dim + 1):
             for f in buckets.get(d, []):
-                self._orient_cell(f, d, vid, buckets, facets_of, signs, sign_map)
-        if sign_map is not None and len(sign_map) != len(signs):
-            raise ValueError("imported signs do not match the facet relation")
+                self._orient_cell(f, d, vid, buckets, facets_of, signs, derive)
 
         out = []
         for f in keys:
@@ -179,20 +199,7 @@ class LabeledComplex:
             )
         return tuple(out)
 
-    def _orient_edges(self, edges, vid, signs, sign_map) -> None:
-        # +1 on the rlex-greater endpoint label, -1 on the other
-        for e in edges:
-            u, v = sorted(e, key=canonical_key)
-            hi, lo = frozenset([u]), frozenset([v])
-            if sign_map is None:
-                signs[(e, hi)], signs[(e, lo)] = 1, -1
-            else:
-                a, b = sign_map.get((e, hi)), sign_map.get((e, lo))
-                if a not in (1, -1) or b != -a:
-                    raise ValueError("edge endpoint signs must be opposite units")
-                signs[(e, hi)], signs[(e, lo)] = a, b
-
-    def _orient_cell(self, f, d, vid, buckets, facets_of, signs, sign_map) -> None:
+    def _orient_cell(self, f, d, vid, buckets, facets_of, signs, derive) -> None:
         fs = sorted(facets_of[f], key=lambda t: tuple(sorted(vid[v] for v in t)))
         # every (d-2)-cell inside f must be a ridge lying in exactly two facets
         ridge_facets: dict[FaceKey, list[FaceKey]] = {}
@@ -207,14 +214,7 @@ class LabeledComplex:
                 f"diamond property fails inside cell {sorted(str(v) for v in f)}"
             )
 
-        if sign_map is not None:
-            cell_sign = {}
-            for t in fs:
-                s = sign_map.get((f, t))
-                if s not in (1, -1):
-                    raise ValueError("missing or non-unit imported facet sign")
-                cell_sign[t] = s
-        else:
+        if derive:
             adj: dict[FaceKey, list[tuple[FaceKey, FaceKey]]] = {t: [] for t in fs}
             for r, (t1, t2) in sorted(
                 ridge_facets.items(),
@@ -235,14 +235,13 @@ class LabeledComplex:
                     f"facet-ridge graph of cell {sorted(str(v) for v in f)} "
                     "is disconnected"
                 )
+            signs.update(((f, t), s) for t, s in cell_sign.items())
         for r, (t1, t2) in ridge_facets.items():
-            if cell_sign[t1] * signs[(t1, r)] + cell_sign[t2] * signs[(t2, r)] != 0:
+            if signs[(f, t1)] * signs[(t1, r)] + signs[(f, t2)] * signs[(t2, r)] != 0:
                 raise ValueError(
                     f"orientation contradiction inside cell "
                     f"{sorted(str(v) for v in f)}"
                 )
-        for t in fs:
-            signs[(f, t)] = cell_sign[t]
 
 
 def simplex(labels) -> LabeledComplex:

@@ -240,15 +240,6 @@ class LabelChainReport:
     increasing: tuple[int, ...] = field(default=())  # indices into chains
     decreasing: tuple[int, ...] = field(default=())
 
-    @property
-    def decreasing_from_top(self) -> tuple[int, ...]:
-        """Chains whose labels strictly decrease walking from hi down to lo.
-
-        Identical to the bottom-up increasing ones: reversing a walk
-        reverses its label sequence.
-        """
-        return self.increasing
-
 
 def natural_label_check(
     L: LcmLattice, lo: Monomial, hi: Monomial, budget: int = 100_000

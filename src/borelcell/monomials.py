@@ -240,7 +240,20 @@ def monomials_of_degree(n: int, d: int):
 
 
 def minimal_under_divisibility(ms) -> tuple[Monomial, ...]:
-    """Monomials of ms not strictly divisible by another element, canonically sorted."""
-    uniq = set(ms)
-    keep = [m for m in uniq if not any(g != m and g.divides(m) for g in uniq)]
-    return tuple(sorted(keep, key=canonical_key))
+    """Monomials of ms not strictly divisible by another element, canonically sorted.
+
+    A strict divisor has lower degree, and a non-minimal one is itself
+    divisible by a kept element, so each element is tested only against
+    the elements kept from lower degrees: a one-degree input costs a sort.
+    """
+    ms = set(ms)
+    if len({m.n for m in ms}) > 1:
+        raise ValueError("ambient mismatch")
+    keep: list[Monomial] = []
+    lower = 0  # keep[:lower] are the kept elements of lower degree
+    for m in sorted(ms, key=canonical_key):
+        if keep and keep[-1].degree < m.degree:
+            lower = len(keep)
+        if not any(g.divides(m) for g in keep[:lower]):
+            keep.append(m)
+    return tuple(keep)

@@ -9,17 +9,19 @@ Schema:
 
 Vertices are listed rlex-descending by label and cells by (dim, sorted
 vertex ids); labels always use the x<i> spelling.  Vertex ids coincide with
-the ids of the dimension-0 cells.  Import re-asserts every structural
-invariant, including the orientation constraints on the stored signs, and
-rejects violations rather than repairing them; an export-import round trip
-is the identity on cells and signs.
+the ids of the dimension-0 cells.  Import checks the JSON's shape (types,
+known and unrepeated ids, unit signs, one dimension per vertex set, a
+0-cell per vertex record); the `_finalize` that checks built complexes then
+checks the stored signs and every structural invariant.  Violations are
+rejected, never repaired; an export-import round trip is the identity on
+cells and signs.
 """
 from __future__ import annotations
 
 import json
 
 from .complexes import LabeledComplex
-from .monomials import lcm_many, parse_monomial
+from .monomials import parse_monomial
 
 __all__ = [
     "complex_to_dict",
@@ -89,6 +91,7 @@ def dict_to_complex(data: dict) -> LabeledComplex:
         )
         vid = rec["id"]
         _require(_is_int(vid) and vid not in vlabels, "vertex ids unique")
+        _require(isinstance(rec["label"], str), "labels are strings")
         vlabels[vid] = parse_monomial(rec["label"], n)
     _require(
         len(set(vlabels.values())) == len(vlabels), "vertex labels distinct"
@@ -96,16 +99,18 @@ def dict_to_complex(data: dict) -> LabeledComplex:
 
     recs = data["cells"]
     keys = {}
-    dims = {}
+    faces = {}
+    points = set()
     for rec in recs:
         _require(
             isinstance(rec, dict)
             and set(rec) == {"id", "dim", "vertices", "label", "facets"},
             "cell records carry id, dim, vertices, label, facets",
         )
-        cid = rec["id"]
+        cid, dim = rec["id"], rec["dim"]
         _require(_is_int(cid) and cid not in keys, "cell ids unique")
-        _require(_is_int(rec["dim"]), "dim must be an integer")
+        _require(_is_int(dim), "dim must be an integer")
+        _require(isinstance(rec["label"], str), "labels are strings")
         _require(isinstance(rec["vertices"], list), "cell vertices must be a list")
         _require(
             all(_is_int(v) and v in vlabels for v in rec["vertices"]),
@@ -115,23 +120,18 @@ def dict_to_complex(data: dict) -> LabeledComplex:
         _require(
             len(key) == len(rec["vertices"]), "cell vertex lists have no repeats"
         )
+        _require(faces.get(key, dim) == dim, "one vertex set, one dimension")
+        _require(key not in faces, "cell vertex sets distinct")
         keys[cid] = key
-        dims[cid] = rec["dim"]
+        faces[key] = dim
+        if dim == 0:
+            points.update(rec["vertices"])
+    _require(points == set(vlabels), "every vertex record is a 0-cell")
 
-    face_dict = {}
-    for cid in keys:
-        _require(
-            face_dict.get(keys[cid], dims[cid]) == dims[cid],
-            "one vertex set, one dimension",
-        )
-        face_dict[keys[cid]] = dims[cid]
-    _require(len(face_dict) == len(recs), "cell vertex sets distinct")
-
-    sign_map = {}
+    signs = {}
     for rec in recs:
         key = keys[rec["id"]]
-        label = parse_monomial(rec["label"], n)
-        _require(label == lcm_many(key), "cell label is the lcm of its vertices")
+        _require(isinstance(rec["facets"], list), "facets must be a list")
         listed = set()
         for pair in rec["facets"]:
             _require(
@@ -141,26 +141,22 @@ def dict_to_complex(data: dict) -> LabeledComplex:
             fid, sign = pair
             _require(_is_int(fid) and fid in keys, "facet ids known")
             _require(_is_int(sign) and sign in (1, -1), "facet signs are +1 or -1")
-            _require(keys[fid] < key, "facets are proper vertex subsets")
-            _require(
-                dims[fid] == rec["dim"] - 1,
-                "facets drop dimension by exactly one",
-            )
             _require(fid not in listed, "facet ids listed once")
             listed.add(fid)
-            sign_map[(key, keys[fid])] = sign
-        expected = {
-            other
-            for other in keys
-            if dims[other] == rec["dim"] - 1 and keys[other] < key
-        }
-        _require(listed == expected, "facet lists match the face relation")
+            signs[(key, keys[fid])] = sign
 
     try:
-        X = LabeledComplex(n, face_dict)  # re-asserts structural invariants
-        X._install_cells(sign_map)  # re-asserts orientation constraints
+        # the constructor and `cells` re-assert every structural invariant
+        # and check the signs against the facet relation they derive
+        X = LabeledComplex(n, faces, signs)
+        X.cells
     except ValueError as exc:
         raise ValueError(f"invalid complex file: {exc}") from exc
+    for rec in recs:
+        _require(
+            parse_monomial(rec["label"], n) == X.labels[keys[rec["id"]]],
+            "cell label is the lcm of its vertices",
+        )
     return X
 
 

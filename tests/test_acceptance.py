@@ -249,7 +249,10 @@ def test_criterion_8_lattice_rankedness():
     assert hi.degree - lo.degree >= 2
 
     labels = natural_label_check(L, unit(4), m("a*b^2*c*d^2", 4))
-    assert labels.chains and labels.decreasing_from_top == ()
+    assert labels.chains and labels.increasing == ()
+    assert not any(
+        all(a > b for a, b in zip(ls[::-1], ls[-2::-1])) for ls in labels.labels
+    )
 
     final = build_lattice(
         list(borel_generators(4, [m("x1*x3^3", 4), m("x2^2*x3*x4", 4)]))

@@ -1,8 +1,10 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from borelcell import borel
 from borelcell.borel import (
     BorelIdeal,
     PrincipalForm,
@@ -146,6 +148,13 @@ class TestBorelIdeal:
         with pytest.raises(ValueError):
             BorelIdeal.from_expanded(3, {m("bc"), m("b^2")})
 
+    def test_from_expanded_checks_the_expansion(self, monkeypatch):
+        # no input reaches this check, so break the expansion it relies on
+        gens = expand_principal(m("bc")).expanded
+        monkeypatch.setattr(borel, "_expand_principal_set", lambda g: frozenset([g]))
+        with pytest.raises(ValueError, match="does not reproduce"):
+            BorelIdeal.from_expanded(3, gens)
+
     def test_contains_by_divisibility(self):
         I = expand_principal(m("bc"))
         assert m("a*b^2*c") in I
@@ -175,6 +184,12 @@ class TestMinMonomial:
             min_monomial(m("a"), m("bc"))
         with pytest.raises(ValueError):
             min_monomial(m("ab", 2), m("ab"))
+
+    def test_result_is_checked(self, monkeypatch):
+        # suffix sums never increase, so only a broken producer reaches this
+        monkeypatch.setattr(borel, "suffix_sums", lambda mono: (1, 2, 0))
+        with pytest.raises(ValueError, match="not a monomial"):
+            min_monomial(m("ab"), m("bc"))
 
     def test_expansion_is_the_intersection(self):
         rng = random.Random(7)
@@ -267,6 +282,12 @@ class TestPrincipalDecomposition:
                 expand_principal(nk.monomial(4)).expanded, shifted
             )
         assert total == set(expand_principal(mono).expanded)
+
+    def test_malformed_summand_raises(self):
+        # PrincipalForm rejects a zero exponent, so pass a stand-in with one
+        pf = SimpleNamespace(lambdas=(1, 2, 3), ds=(1, 0, 1), s=3)
+        with pytest.raises(ValueError, match="malformed"):
+            principal_decomposition(pf)
 
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import pytest
 
+from borelcell import builders
 from borelcell.borel import BorelIdeal, expand_principal, random_borel_minimal
 from borelcell.builders import (
     borel_complex,
@@ -136,8 +137,28 @@ class TestPrincipalComplex:
         with pytest.raises(ValueError):
             principal_complex(3, m("ab", 2))
 
+    def test_vertex_set_is_checked(self, monkeypatch):
+        # no input reaches this check, so break the recursion it guards
+        monkeypatch.setattr(
+            builders,
+            "_principal",
+            lambda n, exps: power_complex(n, VarRange(1, 3), 2),
+        )
+        with pytest.raises(ValueError, match="not G"):
+            principal_complex(3, m("bc"))
+
 
 class TestBorelComplex:
+    def test_vertex_set_is_checked(self, monkeypatch):
+        # no input reaches this check, so break the pieces it glues
+        monkeypatch.setattr(
+            builders,
+            "principal_complex",
+            lambda n, g: power_complex(n, VarRange(1, 2), 2),
+        )
+        with pytest.raises(ValueError, match="not G"):
+            borel_complex(expand_principal(m("bc")))
+
     def test_single_generator_matches_principal(self):
         I = expand_principal(m("bc"))
         assert borel_complex(I) == principal_complex(3, m("bc"))

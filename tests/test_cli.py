@@ -50,6 +50,13 @@ class TestGen:
         assert rc == 2
         assert "error:" in err
 
+    def test_large_one_degree_ideal(self, capsys):
+        # all C(17, 6) sextics of 12 variables, so minimalization must not
+        # compare every pair
+        rc, out, _ = run(capsys, "gen", "--vars", "12", "--borel", "x12^6")
+        assert rc == 0
+        assert len(out.splitlines()) == 12376
+
     def test_bad_monomial(self, capsys):
         rc, _, err = run(capsys, "gen", "--vars", "3", "--borel", "z")
         assert rc == 2
@@ -279,6 +286,33 @@ class TestLattice:
         assert doc["result"]["ranked"] is True
         assert doc["elements"][0] == "1"
         assert set(doc["covers"]) == set(doc["elements"])
+
+    def test_mono_matches_borel(self, capsys, tmp_path):
+        outs = []
+        for kind, gens in (("--borel", "bc"), ("--mono", ",".join(BC5))):
+            path = tmp_path / f"{kind[2:]}.json"
+            rc, out, _ = run(
+                capsys, "lattice", "--vars", "3", kind, gens,
+                "--check", "ranked", "--out", str(path),
+            )
+            assert rc == 0
+            outs.append((out.replace(str(path), ""), path.read_text()))
+        assert outs[0] == outs[1]
+        assert "atoms: 5" in outs[0][0]
+
+    def test_mono_rejects_non_closed_sets(self, capsys):
+        rc, _, err = run(
+            capsys, "lattice", "--vars", "3", "--mono", "b*c", "--check", "ranked"
+        )
+        assert rc == 2
+        assert "closed" in err
+
+    def test_mono_rejects_mixed_degrees(self, capsys):
+        rc, _, err = run(
+            capsys, "lattice", "--vars", "3", "--mono", "a,b^2", "--check", "ranked"
+        )
+        assert rc == 2
+        assert "error:" in err
 
     def test_labels_needs_interval(self, capsys):
         rc, _, err = run(

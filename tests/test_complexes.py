@@ -180,6 +180,8 @@ class TestCells:
 
 
 class TestInstallCells:
+    """Signs supplied to the constructor, as an import installs them."""
+
     def _sign_map(self, X):
         cells = X.cells
         by_id = {c.id: c for c in cells}
@@ -191,8 +193,7 @@ class TestInstallCells:
     def test_recomputed_signs_accepted(self):
         X = p2abc()
         signs = self._sign_map(X)
-        Y = LabeledComplex(3, X.faces)
-        assert Y._install_cells(signs) == X.cells
+        assert LabeledComplex(3, X.faces, signs).cells == X.cells
 
     def test_whole_cell_flip_accepted(self):
         # negating every facet sign of one top cell is still a valid orientation
@@ -202,8 +203,7 @@ class TestInstallCells:
         flipped = {
             (f, t): (-s if f == square else s) for (f, t), s in signs.items()
         }
-        Y = LabeledComplex(3, X.faces)
-        cells = Y._install_cells(flipped)
+        cells = LabeledComplex(3, X.faces, flipped).cells
         sq = next(c for c in cells if len(c.vertices) == 4)
         orig = next(c for c in X.cells if len(c.vertices) == 4)
         assert dict(sq.facets) == {i: -s for i, s in orig.facets}
@@ -216,22 +216,40 @@ class TestInstallCells:
         bad = dict(signs)
         bad[(square, edge)] = -bad[(square, edge)]
         with pytest.raises(ValueError, match="contradiction"):
-            LabeledComplex(3, X.faces)._install_cells(bad)
+            LabeledComplex(3, X.faces, bad).cells
 
     def test_equal_edge_signs_rejected(self):
         X = simplex([m("a"), m("b")])
         e = fs("a", "b")
         with pytest.raises(ValueError, match="opposite"):
-            LabeledComplex(3, X.faces)._install_cells(
-                {(e, fs("a")): 1, (e, fs("b")): 1}
-            )
+            LabeledComplex(3, X.faces, {(e, fs("a")): 1, (e, fs("b")): 1}).cells
 
     def test_extra_pairs_rejected(self):
         X = simplex([m("a"), m("b")])
         e = fs("a", "b")
         signs = {(e, fs("a")): 1, (e, fs("b")): -1, (fs("a"), fs("b")): 1}
         with pytest.raises(ValueError, match="do not match"):
-            LabeledComplex(3, X.faces)._install_cells(signs)
+            LabeledComplex(3, X.faces, signs).cells
+
+    def test_missing_pair_rejected(self):
+        X = p2abc()
+        signs = self._sign_map(X)
+        del signs[next(iter(signs))]
+        with pytest.raises(ValueError, match="do not match"):
+            LabeledComplex(3, X.faces, signs).cells
+
+    def test_non_unit_sign_rejected(self):
+        X = p2abc()
+        signs = self._sign_map(X)
+        signs[next(iter(signs))] = 2
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            LabeledComplex(3, X.faces, signs).cells
+
+    def test_signs_released_once_checked(self):
+        X = p2abc()
+        Y = LabeledComplex(3, X.faces, self._sign_map(X))
+        assert Y.cells == X.cells
+        assert Y._signs is None
 
 
 class TestProduct:

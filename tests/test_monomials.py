@@ -217,6 +217,11 @@ class TestMinimalUnderDivisibility:
     def test_duplicates_collapse(self):
         assert minimal_under_divisibility([m("ab"), m("ab")]) == (m("ab"),)
 
+    def test_ambient_mismatch(self):
+        # one degree, so no pair is ever compared by divisibility
+        with pytest.raises(ValueError, match="ambient"):
+            minimal_under_divisibility([m("ab"), m("ab", 4)])
+
     @given(
         st.lists(
             st.lists(st.integers(0, 4), min_size=3, max_size=3).map(
@@ -230,3 +235,23 @@ class TestMinimalUnderDivisibility:
         out = minimal_under_divisibility(ms)
         for p, q in itertools.permutations(out, 2):
             assert not p.divides(q)
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=3, max_size=3).map(
+                lambda e: Monomial(tuple(e))
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_minimal_elements_of_mixed_degrees(self, ms):
+        # a sub-antichain of the input that every input is divisible by is
+        # exactly the set of minimal elements
+        out = minimal_under_divisibility(ms)
+        assert set(out) <= set(ms)
+        assert list(out) == sorted(out, key=canonical_key)
+        for p, q in itertools.permutations(out, 2):
+            assert not p.divides(q)
+        for q in ms:
+            assert any(p.divides(q) for p in out)

@@ -137,6 +137,12 @@ class TestImportValidation:
         data["cells"][-1]["label"] = "x1^9"
         reject(data, "lcm")
 
+    def test_label_not_a_string(self):
+        for records in ("vertices", "cells"):
+            data = self.base()
+            data[records][-1]["label"] = 5
+            reject(data, "labels are strings")
+
     def test_wrong_dim(self):
         data = self.base()
         data["cells"][-1]["dim"] = 3
@@ -151,6 +157,11 @@ class TestImportValidation:
         data = self.base()
         data["cells"][-1]["facets"].pop()
         reject(data, "match the face relation")
+
+    def test_facets_not_a_list(self):
+        data = self.base()
+        data["cells"][-1]["facets"] = 5
+        reject(data, "facets must be a list")
 
     def test_duplicated_facet_entry(self):
         data = self.base()
@@ -187,6 +198,12 @@ class TestImportValidation:
         victim = next(rec for rec in data["cells"] if rec["dim"] == 1)
         data["cells"].remove(victim)
         reject(data, "facet ids known")
+
+    def test_vertex_record_without_a_0_cell(self):
+        # an unused vertex would silently change the ideal verify defaults to
+        data = self.base()
+        data["vertices"].append({"id": 99, "label": "x1^5"})
+        reject(data, "0-cell")
 
     def test_dropping_a_top_cell_gives_the_smaller_complex(self):
         # facets only point downward, so a top cell can be removed cleanly;
