@@ -125,9 +125,6 @@ class LabeledComplex:
             counts[d] += 1
         return tuple(counts)
 
-    def faces_of_dim(self, d: int) -> list[FaceKey]:
-        return [f for f, fd in self._faces.items() if fd == d]
-
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
         """Canonically ordered cells with verified orientation signs."""

@@ -112,10 +112,6 @@ class Field:
         return cls(None)
 
     @classmethod
-    def prime(cls, p: int) -> "Field":
-        return cls(p)
-
-    @classmethod
     def parse(cls, text: str) -> "Field":
         t = text.strip().lower()
         if t == "q":

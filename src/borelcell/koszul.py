@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import le
 
 from .exact import Field
 from .lattice import build_lattice
@@ -83,15 +84,16 @@ def upper_koszul(gens, b: Monomial) -> SimplicialComplex:
     n = b.n
     if any(g.n != n for g in gens):
         raise ValueError("ambient mismatch")
+    # a generator divides x^b / x^t only if it divides x^b
+    below = [g.exps for g in gens if all(map(le, g.exps, b.exps))]
     support = [i for i in range(1, n + 1) if b.exps[i - 1] > 0]
     faces = set()
     for k in range(len(support) + 1):
         for combo in itertools.combinations(support, k):
-            e = list(b.exps)
+            q = list(b.exps)
             for i in combo:
-                e[i - 1] -= 1
-            q = Monomial(tuple(e))
-            if any(g.divides(q) for g in gens):
+                q[i - 1] -= 1
+            if any(all(map(le, g, q)) for g in below):
                 faces.add(frozenset(combo))
     return SimplicialComplex(frozenset(faces))
 
@@ -106,11 +108,12 @@ def betti_via_koszul(
     """
     gens = list(gens)
     if degrees is None:
-        degrees = [
-            b for b in build_lattice(gens).elements if not b.is_unit
-        ]
+        # the unit is the only degree-0 element, so it sorts first
+        degrees = build_lattice(gens).sorted_elements[1:]
+    else:
+        degrees = sorted(degrees, key=canonical_key)
     table: dict[tuple[int, Monomial], int] = {}
-    for b in sorted(degrees, key=canonical_key):
+    for b in degrees:
         dims = simplicial_homology(upper_koszul(gens, b), fld)
         for pos_in_tuple, h in enumerate(dims):
             if h:

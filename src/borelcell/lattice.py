@@ -1,9 +1,12 @@
 """The lcm lattice of a monomial ideal.
 
 Elements are the unit (bottom) together with the lcms of all nonempty sets
-of minimal generators, ordered by divisibility.  Covers are computed from
-atom joins: the elements covering m are the divisibility-minimal members of
-{lcm(m, a) : a an atom, lcm(m, a) != m}.
+of minimal generators, ordered by divisibility.  One closure over exponent
+tuples serves both input kinds: a BorelIdeal contributes its expanded
+generators, which go through the same checks and minimalization as a
+generator list, and each element becomes a Monomial once, at the end.
+Covers are computed from atom joins: the elements covering m are the
+divisibility-minimal members of {lcm(m, a) : a an atom, lcm(m, a) != m}.
 
 Rankedness: with equigenerated atoms the check is the degree criterion,
 every cover above the bottom raises degree by exactly one (sufficient for
@@ -16,8 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import le
 
-from .monomials import Monomial, canonical_key, lcm, unit
+from .borel import BorelIdeal
+from .monomials import (
+    Monomial,
+    canonical_key,
+    lcm_many,
+    minimal_under_divisibility,
+    unit,
+)
 
 __all__ = [
     "LcmLattice",
@@ -35,6 +46,10 @@ class ChainBudgetExceeded(RuntimeError):
     pass
 
 
+def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(map(le, a, b))
+
+
 @dataclass(frozen=True)
 class LcmLattice:
     n: int
@@ -47,10 +62,7 @@ class LcmLattice:
 
     @cached_property
     def top(self) -> Monomial:
-        out = self.atoms[0]
-        for a in self.atoms[1:]:
-            out = lcm(out, a)
-        return out
+        return lcm_many(self.atoms)
 
     def __contains__(self, m: Monomial) -> bool:
         return m in self.elements
@@ -65,16 +77,18 @@ class LcmLattice:
     @cached_property
     def covers(self):
         """Map m -> tuple of elements covering m, canonically ordered."""
+        element = {e.exps: e for e in self.elements}
+        atoms = [a.exps for a in self.atoms]
         out = {}
         for m in self.sorted_elements:
-            joins = {lcm(m, a) for a in self.atoms}
-            joins.discard(m)
-            covs = [
-                j
-                for j in joins
-                if not any(k != j and k.divides(j) for k in joins)
-            ]
-            out[m] = tuple(sorted(covs, key=canonical_key))
+            joins = {tuple(map(max, m.exps, a)) for a in atoms}
+            joins.discard(m.exps)
+            # a join above another is above a minimal one of lower degree
+            covs: list[tuple[int, ...]] = []
+            for j in sorted(joins, key=sum):
+                if not any(_divides(k, j) for k in covs):
+                    covs.append(j)
+            out[m] = tuple(sorted((element[j] for j in covs), key=canonical_key))
         return out
 
     def interval(self, lo: Monomial, hi: Monomial) -> tuple[Monomial, ...]:
@@ -91,35 +105,22 @@ class LcmLattice:
 
 def build_lattice(gens) -> LcmLattice:
     """Lattice of an ideal given by generators (a BorelIdeal is accepted)."""
-    from .borel import BorelIdeal
-    from .monomials import minimal_under_divisibility
-
-    if isinstance(gens, BorelIdeal):
-        n = gens.n
-        atoms = tuple(sorted(gens.expanded, key=canonical_key))
-    else:
-        gens = list(gens)
-        if not gens:
-            raise ValueError("need at least one generator")
-        n = gens[0].n
-        if any(g.n != n for g in gens):
-            raise ValueError("ambient mismatch")
-        if any(g.is_unit for g in gens):
-            raise ValueError("unit generator makes the whole ring")
-        atoms = minimal_under_divisibility(gens)
-    elements = set(atoms)
-    frontier = set(atoms)
-    while frontier:
-        fresh = set()
-        for m in frontier:
-            for a in atoms:
-                j = lcm(m, a)
-                if j not in elements:
-                    fresh.add(j)
-        elements |= fresh
-        frontier = fresh
-    elements.add(unit(n))
-    return LcmLattice(n=n, atoms=atoms, elements=frozenset(elements))
+    gens = list(gens.expanded if isinstance(gens, BorelIdeal) else gens)
+    if not gens:
+        raise ValueError("need at least one generator")
+    n = gens[0].n
+    if any(g.n != n for g in gens):
+        raise ValueError("ambient mismatch")
+    if any(g.is_unit for g in gens):
+        raise ValueError("unit generator makes the whole ring")
+    atoms = minimal_under_divisibility(gens)
+    elements = {(0,) * n}
+    for a in (a.exps for a in atoms):
+        # joins of the atom sets whose last atom is a (the unit joins to a)
+        elements |= {tuple(map(max, e, a)) for e in elements}
+    return LcmLattice(
+        n=n, atoms=atoms, elements=frozenset(map(Monomial, elements))
+    )
 
 
 @dataclass(frozen=True)
@@ -144,14 +145,14 @@ def _chain_length_sets(L: LcmLattice, budget: int):
     order = sorted(L.sorted_elements, key=lambda m: -m.degree)
     for m in order:
         for n in L.sorted_elements:
-            if not m.divides(n):
+            if not _divides(m.exps, n.exps):
                 continue
-            if m == n:
+            if m is n:
                 memo[(m, n)] = frozenset([0])
                 continue
             acc = set()
             for c in L.covers[m]:
-                if c.divides(n):
+                if _divides(c.exps, n.exps):
                     acc.update(l + 1 for l in memo[(c, n)])
             memo[(m, n)] = frozenset(acc)
             if len(memo) > budget:
@@ -165,9 +166,7 @@ def is_ranked(L: LcmLattice, chain_budget: int = 500_000) -> RankedReport:
     """Decide rankedness; see the module docstring for the two criteria."""
     atom_degrees = {a.degree for a in L.atoms}
     if len(atom_degrees) == 1:
-        for m in L.sorted_elements:
-            if m == L.bottom:
-                continue
+        for m in L.sorted_elements[1:]:  # the bottom sorts first
             for c in L.covers[m]:
                 if c.degree != m.degree + 1:
                     return RankedReport(False, "degree", witness_cover=(m, c))

@@ -67,6 +67,13 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(f"invalid complex file: {message}")
 
 
+def _parse_label(text: str, n: int):
+    try:
+        return parse_monomial(text, n)
+    except ValueError as exc:
+        raise ValueError(f"invalid complex file: {exc}") from exc
+
+
 def _is_int(x) -> bool:
     # JSON true/false load as bool, a subclass of int: 1 == True, 0 == False
     return isinstance(x, int) and not isinstance(x, bool)
@@ -92,7 +99,7 @@ def dict_to_complex(data: dict) -> LabeledComplex:
         vid = rec["id"]
         _require(_is_int(vid) and vid not in vlabels, "vertex ids unique")
         _require(isinstance(rec["label"], str), "labels are strings")
-        vlabels[vid] = parse_monomial(rec["label"], n)
+        vlabels[vid] = _parse_label(rec["label"], n)
     _require(
         len(set(vlabels.values())) == len(vlabels), "vertex labels distinct"
     )
@@ -154,7 +161,7 @@ def dict_to_complex(data: dict) -> LabeledComplex:
         raise ValueError(f"invalid complex file: {exc}") from exc
     for rec in recs:
         _require(
-            parse_monomial(rec["label"], n) == X.labels[keys[rec["id"]]],
+            _parse_label(rec["label"], n) == X.labels[keys[rec["id"]]],
             "cell label is the lcm of its vertices",
         )
     return X

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from borelcell.serialize import export_json
 
 BC5 = ["a^2", "a*b", "b^2", "a*c", "b*c"]
 MIXED = ["--vars", "4", "--borel", "ab,ac,a*d^2,b^2*c*d^2"]
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -169,6 +171,15 @@ class TestVerify:
         path = self.write_q(tmp_path)
         data = json.loads(path.read_text())
         data["cells"][-1]["facets"][0][1] *= -1
+        path.write_text(json.dumps(data))
+        rc, _, err = run(capsys, "verify", "--in", str(path))
+        assert rc == 2
+        assert "invalid complex file" in err
+
+    def test_malformed_label(self, capsys, tmp_path):
+        path = self.write_q(tmp_path)
+        data = json.loads(path.read_text())
+        data["cells"][-1]["label"] = "x9"
         path.write_text(json.dumps(data))
         rc, _, err = run(capsys, "verify", "--in", str(path))
         assert rc == 2
@@ -390,6 +401,32 @@ class TestDeterminism:
             assert rc == 0
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
+
+
+class TestGoldenArtifacts:
+    """Artifacts stored from an earlier version: ordering drift shows here."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("lattice_ranked_mixed.json", [*MIXED, "--check", "ranked"]),
+            (
+                "lattice_labels_mixed.json",
+                [*MIXED, "--check", "labels", "--interval", "1..a*b^2*c*d^2"],
+            ),
+        ],
+    )
+    def test_lattice_out(self, capsys, tmp_path, name, argv):
+        out = tmp_path / name
+        run(capsys, "lattice", *argv, "--out", str(out))
+        assert out.read_bytes() == (DATA / name).read_bytes()
+
+    def test_verify_report(self, capsys, tmp_path):
+        src, report = tmp_path / "p33.json", tmp_path / "verify_P33.json"
+        run(capsys, "complex", "P", "--vars", "3", "--degree", "3", "--out", str(src))
+        rc, _, _ = run(capsys, "verify", "--in", str(src), "--report", str(report))
+        assert rc == 0
+        assert report.read_bytes() == (DATA / "verify_P33.json").read_bytes()
 
 
 class TestParser:

@@ -1,8 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from borelcell.borel import borel_generators, expand_principal, random_borel_minimal
+from borelcell.borel import (
+    BorelIdeal,
+    borel_generators,
+    expand_principal,
+    random_borel_minimal,
+)
 from borelcell.lattice import (
     ChainBudgetExceeded,
     LcmLattice,
@@ -11,7 +17,13 @@ from borelcell.lattice import (
     maximal_chains,
     natural_label_check,
 )
-from borelcell.monomials import lcm_many, parse_monomial, unit
+from borelcell.monomials import (
+    canonical_key,
+    lcm_many,
+    monomials_of_degree,
+    parse_monomial,
+    unit,
+)
 
 
 def m(text, n=3):
@@ -21,6 +33,27 @@ def m(text, n=3):
 def mixed_lattice():
     gens = [m(t, 4) for t in ("ab", "ac", "a*d^2", "b^2*c*d^2")]
     return build_lattice(list(borel_generators(4, gens)))
+
+
+# up to 5 generators of mixed degree 1..3 in at most 4 variables
+generator_lists = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.sampled_from(
+            [g for d in (1, 2, 3) for g in monomials_of_degree(n, d)]
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+# Borel ideals with at most 10 minimal generators, so 2^10 atom subsets
+borel_ideals = st.sampled_from(
+    [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+).flatmap(
+    lambda nd: st.lists(
+        st.sampled_from(list(monomials_of_degree(*nd))), min_size=1, max_size=3
+    ).map(lambda gens: BorelIdeal.from_borel_gens(nd[0], gens))
+)
 
 
 class TestBuildLattice:
@@ -36,15 +69,31 @@ class TestBuildLattice:
         assert L.atoms == (m("a^2"), m("a*b"), m("b^2"), m("a*c"), m("b*c"))
         assert L.top == m("a^2*b^2*c")
 
-    def test_elements_match_subset_joins(self):
-        # independent description: one join per nonempty atom subset
-        L = build_lattice(expand_principal(m("bc")))
+    @given(st.one_of(generator_lists, borel_ideals))
+    @example(expand_principal(m("bc")))
+    @settings(max_examples=60, deadline=None)
+    def test_elements_match_subset_joins(self, gens):
+        # independent description: the atoms are the generators no other
+        # generator strictly divides, one join per nonempty atom subset
+        L = build_lattice(gens)
+        pool = set(gens.expanded if isinstance(gens, BorelIdeal) else gens)
+        minimal = {g for g in pool if not any(h != g and h.divides(g) for h in pool)}
+        assert set(L.atoms) == minimal
         joins = {
             lcm_many(combo)
             for k in range(1, len(L.atoms) + 1)
             for combo in itertools.combinations(L.atoms, k)
         }
         assert L.elements == joins | {L.bottom}
+
+    @given(borel_ideals)
+    @example(random_borel_minimal(4, 3, 2, seed=0))
+    @settings(max_examples=30, deadline=None)
+    def test_borel_ideal_equals_its_generator_list(self, I):
+        L = build_lattice(I)
+        K = build_lattice(sorted(I.expanded, key=canonical_key))
+        assert L.atoms == K.atoms
+        assert L.elements == K.elements
 
     def test_atoms_are_minimalized(self):
         L = build_lattice([m("a*b", 2), m("a", 2)])
@@ -59,6 +108,18 @@ class TestBuildLattice:
                 assert e != c and e.divides(c)
             for c, d in itertools.permutations(covs, 2):
                 assert not c.divides(d)
+
+    def test_covers_are_complete_on_the_mixed_lattice(self):
+        # c covers e iff e | c, e != c, and no element lies strictly between
+        L = mixed_lattice()
+        for e in L.sorted_elements:
+            above = [c for c in L.sorted_elements if c != e and e.divides(c)]
+            expected = [
+                c
+                for c in above
+                if not any(k != c and k.divides(c) for k in above)
+            ]
+            assert L.covers[e] == tuple(expected)
 
     def test_interval(self):
         L = build_lattice(expand_principal(m("bc")))

@@ -137,6 +137,16 @@ class TestImportValidation:
         data["cells"][-1]["label"] = "x1^9"
         reject(data, "lcm")
 
+    def test_malformed_vertex_label(self):
+        data = self.base()
+        data["vertices"][0]["label"] = "x1^"
+        reject(data, "bad factor 'x1^'")
+
+    def test_cell_label_outside_the_ambient(self):
+        data = self.base()
+        data["cells"][-1]["label"] = "x9"
+        reject(data, "variable index 9 outside ambient 1..3")
+
     def test_label_not_a_string(self):
         for records in ("vertices", "cells"):
             data = self.base()

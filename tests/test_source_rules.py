@@ -1,0 +1,28 @@
+"""Source rules of the package: standard library only, and no asserts.
+
+`python -O` strips assert statements, so an invariant written as one is
+silently unchecked; every check in the package raises instead.
+"""
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "borelcell").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_stdlib_imports_and_no_asserts(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        assert not isinstance(node, ast.Assert), f"assert statement at {where}"
+        if isinstance(node, ast.Import):
+            tops = [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops = [node.module.partition(".")[0]]
+        else:
+            continue
+        for top in tops:
+            assert top in sys.stdlib_module_names, f"non-stdlib import {top} at {where}"
