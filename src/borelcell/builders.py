@@ -46,14 +46,15 @@ def _power(n: int, lo: int, hi: int, d: int) -> LabeledComplex:
         return simplex([variable(n, i) for i in range(lo, hi + 1)])
     if lo == hi:
         return simplex([Monomial(tuple(d if j == lo - 1 else 0 for j in range(n)))])
-    out = None
-    for k in range(lo, hi + 1):
-        piece = product(
-            simplex([variable(n, i) for i in range(lo, k + 1)]),
-            _power(n, k, hi, d - 1),
+    return union(
+        *(
+            product(
+                simplex([variable(n, i) for i in range(lo, k + 1)]),
+                _power(n, k, hi, d - 1),
+            )
+            for k in range(lo, hi + 1)
         )
-        out = piece if out is None else union(out, piece)
-    return out
+    )
 
 
 def power_complex(n: int, rng: VarRange, d: int) -> LabeledComplex:
@@ -76,14 +77,15 @@ def _principal(n: int, exps: tuple[int, ...]) -> LabeledComplex:
         head = Monomial(tuple(pf.ds[0] if j == 0 else 0 for j in range(n)))
         tail = power_complex(n, VarRange(1, pf.lambdas[1]), pf.ds[1])
         return scale_labels(tail, head)
-    out = None
-    for nk, rng in principal_decomposition(pf):
-        piece = product(
-            _principal(n, nk.monomial(n).exps),
-            power_complex(n, rng, pf.ds[-1]),
+    return union(
+        *(
+            product(
+                _principal(n, nk.monomial(n).exps),
+                power_complex(n, rng, pf.ds[-1]),
+            )
+            for nk, rng in principal_decomposition(pf)
         )
-        out = piece if out is None else union(out, piece)
-    return out
+    )
 
 
 def principal_complex(n: int, m: Monomial) -> LabeledComplex:
@@ -100,10 +102,7 @@ def principal_complex(n: int, m: Monomial) -> LabeledComplex:
 
 def borel_complex(I: BorelIdeal) -> LabeledComplex:
     """Union of the principal complexes over the Borel generators of I."""
-    out = None
-    for g in I.borel_gens:
-        piece = principal_complex(I.n, g)
-        out = piece if out is None else union(out, piece)
+    out = union(*(principal_complex(I.n, g) for g in I.borel_gens))
     if set(out.vertex_labels) != I.expanded:
         raise ValueError(f"vertices of the complex of {I} are not G(I)")
     return out

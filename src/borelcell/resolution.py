@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .borel import BorelIdeal
-from .complexes import Cell, LabeledComplex
+from .complexes import Cell, LabeledComplex, _bits
 from .exact import Field
 from .lattice import build_lattice
 from .monomials import Monomial
@@ -142,7 +142,7 @@ def homology_dims(X: LabeledComplex, fld: Field) -> tuple[int, ...]:
     restriction is acceptable (it is exactly when no generator divides the
     degree being checked).
     """
-    if not X.faces:
+    if not len(X):
         return ()
     C = chain_complex(X)
     ranks = [fld.rank([list(r) for r in M]) for M in C.matrices]
@@ -185,16 +185,6 @@ class ResolutionReport:
             "field": self.field,
             "checks": [c.as_dict() for c in self.checks],
         }
-
-
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _acyclicity_checks(

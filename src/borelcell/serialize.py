@@ -7,20 +7,24 @@ Schema:
      "cells": [{"id": int, "dim": int, "vertices": [int, ...],
                 "label": str, "facets": [[int, sign], ...]}, ...]}
 
-Vertices are listed rlex-descending by label and cells by (dim, sorted
-vertex ids); labels always use the x<i> spelling.  Vertex ids coincide with
-the ids of the dimension-0 cells.  Import checks the JSON's shape (types,
+Export lists vertices rlex-descending by label and cells by (dim, sorted
+vertex ids), numbering both from 0, so vertex ids coincide with the ids of
+the dimension-0 cells; labels always use the x<i> spelling.  Import accepts
+any unique integer ids in any record order: it builds the face bitmasks
+straight from the file's vertex ids and renumbers vertices and cells
+canonically, so a file with shifted ids or reordered records imports and
+re-exports to the canonical bytes.  Import checks the JSON's shape (types,
 known and unrepeated ids, unit signs, one dimension per vertex set, a
 0-cell per vertex record); the `_finalize` that checks built complexes then
-checks the stored signs and every structural invariant.  Violations are
-rejected, never repaired; an export-import round trip is the identity on
-cells and signs.
+checks the stored signs and every structural invariant.  Structural, sign
+and label violations are rejected, never repaired; an export-import round
+trip is the identity on cells and signs.
 """
 from __future__ import annotations
 
 import json
 
-from .complexes import LabeledComplex
+from .complexes import LabeledComplex, _order
 from .monomials import parse_monomial
 
 __all__ = [
@@ -62,108 +66,114 @@ def export_json(X: LabeledComplex, path: str) -> None:
         fh.write(dumps(X))
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(f"invalid complex file: {message}")
+def _invalid(message) -> ValueError:
+    return ValueError(f"invalid complex file: {message}")
 
 
 def _parse_label(text: str, n: int):
     try:
         return parse_monomial(text, n)
     except ValueError as exc:
-        raise ValueError(f"invalid complex file: {exc}") from exc
+        raise _invalid(exc) from exc
 
 
-def _is_int(x) -> bool:
-    # JSON true/false load as bool, a subclass of int: 1 == True, 0 == False
-    return isinstance(x, int) and not isinstance(x, bool)
+_VERTEX_FIELDS = {"id", "label"}
+_CELL_FIELDS = {"id", "dim", "vertices", "label", "facets"}
 
 
 def dict_to_complex(data: dict) -> LabeledComplex:
-    _require(isinstance(data, dict), "top level must be an object")
-    _require(
-        set(data) == {"vars", "vertices", "cells"},
-        "top-level keys must be vars, vertices, cells",
-    )
-    n = data["vars"]
-    _require(_is_int(n) and n >= 1, "vars must be a positive integer")
-    _require(isinstance(data["vertices"], list), "vertices must be a list")
-    _require(isinstance(data["cells"], list), "cells must be a list")
+    # ints are tested with `type(x) is int`: JSON true/false load as bool,
+    # a subclass of int with 1 == True and 0 == False
+    if not isinstance(data, dict):
+        raise _invalid("top level must be an object")
+    if data.keys() != {"vars", "vertices", "cells"}:
+        raise _invalid("top-level keys must be vars, vertices, cells")
+    n, vrecs, recs = data["vars"], data["vertices"], data["cells"]
+    if type(n) is not int or n < 1:
+        raise _invalid("vars must be a positive integer")
+    if not isinstance(vrecs, list):
+        raise _invalid("vertices must be a list")
+    if not isinstance(recs, list):
+        raise _invalid("cells must be a list")
 
     vlabels = {}
-    for rec in data["vertices"]:
-        _require(
-            isinstance(rec, dict) and set(rec) == {"id", "label"},
-            "vertex records carry id and label",
-        )
+    for rec in vrecs:
+        if not isinstance(rec, dict) or rec.keys() != _VERTEX_FIELDS:
+            raise _invalid("vertex records carry id and label")
         vid = rec["id"]
-        _require(_is_int(vid) and vid not in vlabels, "vertex ids unique")
-        _require(isinstance(rec["label"], str), "labels are strings")
-        vlabels[vid] = _parse_label(rec["label"], n)
-    _require(
-        len(set(vlabels.values())) == len(vlabels), "vertex labels distinct"
-    )
+        if type(vid) is not int or vid in vlabels:
+            raise _invalid("vertex ids unique")
+        if not isinstance(rec["label"], str):
+            raise _invalid("labels are strings")
+        vlabels[vid] = _parse_label(rec["label"], n).exps
+    verts = sorted(vlabels.values(), key=_order)
+    pos = {e: i for i, e in enumerate(verts)}
+    if len(pos) != len(verts):
+        raise _invalid("vertex labels distinct")
+    # file vertex id -> the bit of its canonical vertex id
+    bit = {v: 1 << pos[e] for v, e in vlabels.items()}
 
-    recs = data["cells"]
     keys = {}
     faces = {}
-    points = set()
+    points = 0
     for rec in recs:
-        _require(
-            isinstance(rec, dict)
-            and set(rec) == {"id", "dim", "vertices", "label", "facets"},
-            "cell records carry id, dim, vertices, label, facets",
-        )
-        cid, dim = rec["id"], rec["dim"]
-        _require(_is_int(cid) and cid not in keys, "cell ids unique")
-        _require(_is_int(dim), "dim must be an integer")
-        _require(isinstance(rec["label"], str), "labels are strings")
-        _require(isinstance(rec["vertices"], list), "cell vertices must be a list")
-        _require(
-            all(_is_int(v) and v in vlabels for v in rec["vertices"]),
-            "cell vertices reference known vertex ids",
-        )
-        key = frozenset(vlabels[v] for v in rec["vertices"])
-        _require(
-            len(key) == len(rec["vertices"]), "cell vertex lists have no repeats"
-        )
-        _require(faces.get(key, dim) == dim, "one vertex set, one dimension")
-        _require(key not in faces, "cell vertex sets distinct")
+        if not isinstance(rec, dict) or rec.keys() != _CELL_FIELDS:
+            raise _invalid("cell records carry id, dim, vertices, label, facets")
+        cid, dim, vs = rec["id"], rec["dim"], rec["vertices"]
+        if type(cid) is not int or cid in keys:
+            raise _invalid("cell ids unique")
+        if type(dim) is not int:
+            raise _invalid("dim must be an integer")
+        if not isinstance(rec["label"], str):
+            raise _invalid("labels are strings")
+        if not isinstance(vs, list):
+            raise _invalid("cell vertices must be a list")
+        if not all(type(v) is int and v in vlabels for v in vs):
+            raise _invalid("cell vertices reference known vertex ids")
+        key = sum({bit[v] for v in vs})
+        if key.bit_count() != len(vs):
+            raise _invalid("cell vertex lists have no repeats")
+        if faces.get(key, dim) != dim:
+            raise _invalid("one vertex set, one dimension")
+        if key in faces:
+            raise _invalid("cell vertex sets distinct")
         keys[cid] = key
         faces[key] = dim
         if dim == 0:
-            points.update(rec["vertices"])
-    _require(points == set(vlabels), "every vertex record is a 0-cell")
+            points |= key
+    if points != (1 << len(verts)) - 1:
+        raise _invalid("every vertex record is a 0-cell")
 
     signs = {}
     for rec in recs:
         key = keys[rec["id"]]
-        _require(isinstance(rec["facets"], list), "facets must be a list")
+        if not isinstance(rec["facets"], list):
+            raise _invalid("facets must be a list")
         listed = set()
         for pair in rec["facets"]:
-            _require(
-                isinstance(pair, list) and len(pair) == 2,
-                "facets are [id, sign] pairs",
-            )
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise _invalid("facets are [id, sign] pairs")
             fid, sign = pair
-            _require(_is_int(fid) and fid in keys, "facet ids known")
-            _require(_is_int(sign) and sign in (1, -1), "facet signs are +1 or -1")
-            _require(fid not in listed, "facet ids listed once")
+            if type(fid) is not int or fid not in keys:
+                raise _invalid("facet ids known")
+            if type(sign) is not int or sign not in (1, -1):
+                raise _invalid("facet signs are +1 or -1")
+            if fid in listed:
+                raise _invalid("facet ids listed once")
             listed.add(fid)
-            signs[(key, keys[fid])] = sign
+            signs[key, keys[fid]] = sign
 
     try:
         # the constructor and `cells` re-assert every structural invariant
         # and check the signs against the facet relation they derive
-        X = LabeledComplex(n, faces, signs)
+        X = LabeledComplex._from_masks(n, tuple(verts), faces, signs)
         X.cells
     except ValueError as exc:
-        raise ValueError(f"invalid complex file: {exc}") from exc
+        raise _invalid(exc) from exc
+    labels = X._label_exps
     for rec in recs:
-        _require(
-            _parse_label(rec["label"], n) == X.labels[keys[rec["id"]]],
-            "cell label is the lcm of its vertices",
-        )
+        if _parse_label(rec["label"], n).exps != labels[keys[rec["id"]]]:
+            raise _invalid("cell label is the lcm of its vertices")
     return X
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ from borelcell.builders import principal_complex
 from borelcell.cli import main
 from borelcell.complexes import simplex
 from borelcell.monomials import parse_monomial
-from borelcell.serialize import export_json
+from borelcell.serialize import dict_to_complex, export_json
 
 BC5 = ["a^2", "a*b", "b^2", "a*c", "b*c"]
 MIXED = ["--vars", "4", "--borel", "ab,ac,a*d^2,b^2*c*d^2"]
@@ -421,12 +423,110 @@ class TestGoldenArtifacts:
         run(capsys, "lattice", *argv, "--out", str(out))
         assert out.read_bytes() == (DATA / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("complex_P43.json", ["P", "--vars", "4", "--degree", "3"]),
+            ("complex_Q4_bd2.json", ["Q", "--vars", "4", "--borel", "b*d^2"]),
+            (
+                "complex_Q5_two_gens.json",
+                ["Q", "--vars", "5", "--borel", "x2*x3*x5,x1*x4^2"],
+            ),
+        ],
+    )
+    def test_complex_out(self, capsys, tmp_path, name, argv):
+        # pins the sign convention: +1 on the rlex-greater endpoint of an
+        # edge, breadth-first from the lowest facet of every other cell
+        out = tmp_path / name
+        run(capsys, "complex", *argv, "--out", str(out))
+        assert out.read_bytes() == (DATA / name).read_bytes()
+
     def test_verify_report(self, capsys, tmp_path):
         src, report = tmp_path / "p33.json", tmp_path / "verify_P33.json"
         run(capsys, "complex", "P", "--vars", "3", "--degree", "3", "--out", str(src))
         rc, _, _ = run(capsys, "verify", "--in", str(src), "--report", str(report))
         assert rc == 0
         assert report.read_bytes() == (DATA / "verify_P33.json").read_bytes()
+
+
+def single_edit_mutants(doc):
+    """Edit a complex file's data in place, one edit per yield of its kind.
+
+    Each edit is undone before the next, and none leaves the content equal
+    to the original.  Kinds: flip one facet sign; drop one cell; point one
+    facet entry at another cell of the same dimension, the next by id
+    (cyclically) that the cell does not already list; relabel one vertex.
+    """
+    cells, vertices = doc["cells"], doc["vertices"]
+    ids_of_dim, dim_of = {}, {}
+    for rec in cells:
+        ids_of_dim.setdefault(rec["dim"], []).append(rec["id"])
+        dim_of[rec["id"]] = rec["dim"]
+    for rec in cells:
+        listed = {fid for fid, _ in rec["facets"]}
+        for pair in rec["facets"]:
+            pair[1] = -pair[1]
+            yield "flip sign"
+            pair[1] = -pair[1]
+            fid = pair[0]
+            ids = ids_of_dim[dim_of[fid]]
+            k = ids.index(fid)
+            free = [t for t in ids[k + 1:] + ids[:k] if t not in listed]
+            if free:
+                pair[0] = free[0]
+                yield "retarget facet"
+                pair[0] = fid
+    for i in range(len(cells)):
+        rec = cells.pop(i)
+        yield "drop cell"
+        cells.insert(i, rec)
+    # a new label either repeats the next vertex's or is a fresh monomial
+    n = doc["vars"]
+    for i, rec in enumerate(vertices):
+        old = rec["label"]
+        fresh = (parse_monomial(old, n) * parse_monomial(f"x{n}", n)).canonical()
+        for label in (vertices[(i + 1) % len(vertices)]["label"], fresh):
+            rec["label"] = label
+            yield "relabel vertex"
+        rec["label"] = old
+
+
+class TestMutationSuite:
+    """Every single-edit mutant of a golden complex file is caught.
+
+    A mutant is either rejected by the import (`verify` then exits 2 with
+    the message, see TestVerify) or imports and makes `verify` exit 1
+    naming a failing degree.  Only dropping a maximal cell imports.
+    """
+
+    @pytest.mark.parametrize("name", ["complex_P43.json", "complex_Q4_bd2.json"])
+    def test_every_mutant_is_caught(self, capsys, tmp_path, name):
+        doc = json.loads((DATA / name).read_text())
+        original = json.dumps(doc)
+        facet_ids = {fid for rec in doc["cells"] for fid, _ in rec["facets"]}
+        maximal = sum(rec["id"] not in facet_ids for rec in doc["cells"])
+        kinds, imported = Counter(), []
+        for kind in single_edit_mutants(doc):
+            kinds[kind] += 1
+            try:
+                dict_to_complex(doc)
+            except ValueError as exc:
+                assert str(exc).startswith("invalid complex file: "), kind
+            else:
+                assert kind == "drop cell"
+                imported.append(json.dumps(doc))
+        assert json.dumps(doc) == original
+        assert set(kinds) == {
+            "flip sign", "retarget facet", "drop cell", "relabel vertex"
+        }
+        assert len(imported) == maximal
+        path = tmp_path / "mutant.json"
+        for text in imported:
+            path.write_text(text)
+            rc, out, _ = run(capsys, "verify", "--in", str(path))
+            assert rc == 1
+            assert re.search(r"^  fail at \S+: ", out, re.M)
+            assert "ok: no" in out
 
 
 class TestParser:

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from borelcell import builders
 from borelcell.borel import expand_principal
 from borelcell.complexes import (
     LabeledComplex,
@@ -10,7 +13,8 @@ from borelcell.complexes import (
     spanned_subcomplex,
     union,
 )
-from borelcell.monomials import lcm_many, parse_monomial, unit
+from borelcell.monomials import Monomial, VarRange, lcm_many, parse_monomial, unit
+from borelcell.serialize import dumps
 
 
 def m(text, n=3):
@@ -288,6 +292,14 @@ class TestUnion:
         X = p2abc()
         assert union(X, X) == X
 
+    def test_many_pieces_glue_as_a_chain(self):
+        assert union(p2abc()) == p2abc()
+        X = simplex([m("a"), m("b"), m("c")])
+        Y = simplex([m("b"), m("c"), m("bc")])
+        Z = simplex([m("bc"), m("c^2")])
+        assert union(X, Y, Z) == union(union(X, Y), Z)
+        assert union(X, Y, Z).f_vector() == (5, 6, 2)
+
     def test_dim_conflict_rejected(self):
         sq = product(simplex([m("a", 4), m("b", 4)]), simplex([m("c", 4), m("d", 4)]))
         tet = simplex([m(t, 4) for t in ["ac", "ad", "bc", "bd"]])
@@ -325,3 +337,28 @@ class TestScaleRestrictSpan:
     def test_spanned_missing_label_rejected(self):
         with pytest.raises(ValueError, match="not among"):
             spanned_subcomplex(p2abc(), [m("c^3")])
+
+
+class TestNoMonomialKeyedScans:
+    def test_build_orient_export_touch_each_vertex_label_a_few_times(
+        self, monkeypatch
+    ):
+        # P(4,3) has 20 vertices and 111 cells; a face relation or a sign map
+        # keyed by Monomial frozensets hashes and compares thousands of them
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in ("__hash__", "__eq__"):
+            monkeypatch.setattr(Monomial, name, counted(name, getattr(Monomial, name)))
+        builders._power.cache_clear()
+        X = builders.power_complex(4, VarRange(1, 4), 3)
+        X.cells
+        dumps(X)
+        assert len(X.vertex_labels) == 20 and len(X) == 111
+        assert sum(calls.values()) <= 2 * len(X.vertex_labels), calls

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +10,13 @@ from borelcell.builders import borel_complex, power_complex, principal_complex
 from borelcell.complexes import Cell, LabeledComplex, restrict, simplex
 from borelcell.exact import Field, rank_mod_p, rank_rationals
 from borelcell.lattice import build_lattice
-from borelcell.monomials import VarRange, monomials_of_degree, parse_monomial
+from borelcell.monomials import (
+    VarRange,
+    canonical_key,
+    lcm_many,
+    monomials_of_degree,
+    parse_monomial,
+)
 from borelcell.resolution import (
     ChainComplex,
     betti_from_cells,
@@ -20,6 +27,7 @@ from borelcell.resolution import (
     homology_dims,
     verify_resolution,
 )
+from borelcell.serialize import dict_to_complex, dumps
 
 Q = Field.rationals()
 
@@ -336,3 +344,37 @@ class TestKernelAgainstRestrictOracle:
             power_complex(3, VarRange(1, 3), 3), expand_principal(m("c^3"))
         )
         assert report.ok and not calls
+
+
+class TestCellsAgainstBruteForce:
+    """The integer facet index and orientation against all-pairs scans of faces."""
+
+    @given(small_borel, st.one_of(st.none(), st.integers(0, 10**6)))
+    @settings(max_examples=40, deadline=None)
+    def test_cells_match_subset_scans(self, ideal, pick):
+        n, gens = ideal
+        X = borel_complex(BorelIdeal.from_borel_gens(n, gens))
+        if pick is not None:
+            X = drop_maximal_cell(X, pick) or X
+        cells = X.cells
+        key = {c.id: frozenset(X.vertex_labels[v] for v in c.vertices) for c in cells}
+        assert {key[c.id]: c.dim for c in cells} == dict(X.faces)
+        assert list(X.vertex_labels) == sorted(X.vertex_labels, key=canonical_key)
+        for c in cells:
+            f = key[c.id]
+            assert c.label == lcm_many(f) == X.labels[f]
+            below = {t for t, d in X.faces.items() if d == c.dim - 1 and t < f}
+            assert {key[fid] for fid, _ in c.facets} == below
+            if c.dim == 1:
+                # +1 on the rlex-greater endpoint, the lower vertex id
+                assert [s for _, s in c.facets] == [1, -1]
+            ridges = {}
+            for fid, s1 in c.facets:
+                for rid, s2 in cells[fid].facets:
+                    ridges.setdefault(rid, []).append(s1 * s2)
+            # each ridge lies in exactly two facets, with cancelling signs
+            assert all(len(v) == 2 and sum(v) == 0 for v in ridges.values())
+            if c.dim >= 2:
+                inner = {t for t, d in X.faces.items() if d == c.dim - 2 and t < f}
+                assert {key[r] for r in ridges} == inner
+        assert dict_to_complex(json.loads(dumps(X))).cells == cells

@@ -87,6 +87,21 @@ class TestRoundTrip:
         assert back == X
         assert back.cells == X.cells
 
+    def test_any_unique_ids_are_renumbered_canonically(self):
+        X = p2abc()
+        data = complex_to_dict(X)
+        for rec in data["vertices"]:
+            rec["id"] += 100
+        for rec in data["cells"]:
+            rec["id"] += 500
+            rec["vertices"] = [v + 100 for v in rec["vertices"]]
+            rec["facets"] = [[fid + 500, sign] for fid, sign in rec["facets"]]
+        data["vertices"].reverse()
+        data["cells"].reverse()
+        Y = dict_to_complex(data)
+        assert Y.cells == X.cells
+        assert dumps(Y) == dumps(X)
+
     def test_file_round_trip(self, tmp_path):
         X = p2abc()
         path = tmp_path / "complex.json"
