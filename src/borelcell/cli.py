@@ -189,8 +189,7 @@ def _run_complex(cfg: RunConfig) -> int:
             X = induced_complex(I)
         else:
             X = borel_complex(I)
-            other = induced_complex(I)
-            agree = X == other and X.cells == other.cells
+            agree = X == induced_complex(I)
         name = f"Q({I})"
     print(f"{name}: dimension {X.dim}, f-vector {X.f_vector()}")
     if agree is not None:
@@ -304,15 +303,6 @@ def _run_lattice(cfg: RunConfig) -> int:
         "atoms": [a.canonical() for a in L.atoms],
         "interval": None,
     }
-    body: dict = {
-        "vars": n,
-        "atoms": [a.canonical() for a in L.atoms],
-        "elements": [e.canonical() for e in L.sorted_elements],
-        "covers": {
-            e.canonical(): [c.canonical() for c in L.covers[e]]
-            for e in L.sorted_elements
-        },
-    }
 
     if cfg.check == "ranked":
         if cfg.interval is not None:
@@ -360,8 +350,15 @@ def _run_lattice(cfg: RunConfig) -> int:
             "decreasing_from_top": list(rep.increasing),
         }
         rc = 0
-    body["result"] = result
     if cfg.out:
+        text = {e: e.canonical() for e in L.sorted_elements}
+        body = {
+            "vars": n,
+            "atoms": config["atoms"],
+            "elements": list(text.values()),
+            "covers": {text[e]: [text[c] for c in L.covers[e]] for e in text},
+            "result": result,
+        }
         _write_report(cfg.out, config, body)
         print(f"wrote {cfg.out}")
     return rc

@@ -2,20 +2,26 @@
 
 These are deliberately independent of the polytopal builders.  The graded
 Betti number beta_{i,b} of a monomial ideal equals the reduced homology
-dimension H_{i-1} of the upper Koszul complex at b, the simplicial complex
-of squarefree monomials t with x^b / x^t in the ideal.  Intersections are
-checked against the pairwise-lcm description.  Ranks go through the same
-exact kernel as the resolution checks, on independently built matrices.
+dimension H_{i-1} of the upper Koszul complex K^b, the simplicial complex
+of squarefree monomials t with x^b / x^t in the ideal.  A generator g
+divides x^b / x^t exactly when g | x^b and t lies in S_g = {i : g_i < b_i},
+so K^b is the union of the full simplices on the S_g; faces are bitmasks.
+When the union of all faces is itself a face, the complex is a full simplex:
+a cone, hence acyclic, on k >= 1 vertices, and {empty face} for k = 0.  Its
+homology needs no rank; that is most lattice degrees.  The rest go through
+the same exact kernel as the resolution checks, on independently built
+matrices.  Intersections are checked against the pairwise-lcm description.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from operator import le
+from functools import reduce
+from itertools import compress
+from operator import le, lt, or_
 
 from .exact import Field
 from .lattice import build_lattice
-from .monomials import Monomial, canonical_key, minimal_under_divisibility
+from .monomials import Monomial, canonical_key, lcm, minimal_under_divisibility
 
 __all__ = [
     "SimplicialComplex",
@@ -26,75 +32,96 @@ __all__ = [
 ]
 
 
+def _bits(f: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    return [i for i in range(f.bit_length()) if f >> i & 1]
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Faces as frozensets of 1-based vertex indices; downward closed.
+    """Faces as bitmasks, bit i - 1 standing for vertex i; downward closed.
 
     The void complex (no faces at all) is distinct from the complex whose
     only face is empty: the former has no homology, the latter has
     H_{-1} = k.
     """
 
-    faces: frozenset[frozenset[int]]
+    masks: frozenset[int]
 
     def __post_init__(self) -> None:
-        for f in self.faces:
-            for v in f:
-                if f - {v} not in self.faces:
+        for f in self.masks:
+            if type(f) is not int or f < 0:
+                raise ValueError(f"a face must be a non-negative bitmask: {f!r}")
+            rest = f
+            while rest:
+                low = rest & -rest
+                if f ^ low not in self.masks:
                     raise ValueError("face family is not downward closed")
+                rest ^= low
+
+    @classmethod
+    def from_faces(cls, faces) -> "SimplicialComplex":
+        """From an iterable of vertex sets, vertices numbered from 1."""
+        faces = [set(f) for f in faces]
+        if any(type(v) is not int or v < 1 for f in faces for v in f):
+            raise ValueError("vertices must be integers >= 1")
+        return cls(frozenset(sum(1 << (v - 1) for v in f) for f in faces))
+
+    @property
+    def faces(self) -> frozenset[frozenset[int]]:
+        return frozenset(frozenset(i + 1 for i in _bits(f)) for f in self.masks)
 
     @property
     def is_void(self) -> bool:
-        return not self.faces
+        return not self.masks
 
     @property
     def dim(self) -> int:
-        return max((len(f) - 1 for f in self.faces), default=-1)
+        return max((f.bit_count() - 1 for f in self.masks), default=-1)
 
 
 def simplicial_homology(K: SimplicialComplex, fld: Field) -> tuple[int, ...]:
     """Reduced homology dimensions (H_{-1}, ..., H_dim); () for the void."""
     if K.is_void:
         return ()
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(K.dim + 2)]
-    for f in K.faces:
-        by_dim[len(f)].append(tuple(sorted(f)))
-    for bucket in by_dim:
-        bucket.sort()
+    union = reduce(or_, K.masks)
+    if union in K.masks:  # a full simplex: a cone, or {empty face}
+        return (0,) * (union.bit_count() + 1) if union else (1,)
+    by_dim: list[list[int]] = [[] for _ in range(K.dim + 2)]
+    for f in sorted(K.masks):
+        by_dim[f.bit_count()].append(f)
     pos = [{f: i for i, f in enumerate(bucket)} for bucket in by_dim]
-    f_counts = [len(b) for b in by_dim]
     ranks = [0]
-    for d in range(1, K.dim + 2):
-        mat = [[0] * f_counts[d] for _ in range(f_counts[d - 1])]
+    for d in range(1, len(by_dim)):
+        mat = [[0] * len(by_dim[d]) for _ in by_dim[d - 1]]
         for j, face in enumerate(by_dim[d]):
-            for i in range(len(face)):
-                sub = face[:i] + face[i + 1 :]
-                mat[pos[d - 1][sub]][j] = (-1) ** i
+            for k, i in enumerate(_bits(face)):
+                mat[pos[d - 1][face ^ (1 << i)]][j] = (-1) ** k
         ranks.append(fld.rank(mat))
     ranks.append(0)
-    dims = []
-    for d in range(len(f_counts)):
-        dims.append(f_counts[d] - ranks[d] - ranks[d + 1])
-    return tuple(dims)
+    return tuple(len(b) - ranks[d] - ranks[d + 1] for d, b in enumerate(by_dim))
 
 
 def upper_koszul(gens, b: Monomial) -> SimplicialComplex:
-    """Squarefree t inside supp(b) with x^b / x^t in the ideal of gens."""
-    gens = list(gens)
-    n = b.n
-    if any(g.n != n for g in gens):
-        raise ValueError("ambient mismatch")
-    # a generator divides x^b / x^t only if it divides x^b
-    below = [g.exps for g in gens if all(map(le, g.exps, b.exps))]
-    support = [i for i in range(1, n + 1) if b.exps[i - 1] > 0]
+    """Squarefree t with x^b / x^t in the ideal of gens, as a union of simplices."""
+    bx = b.exps
+    n = len(bx)
+    bits = [1 << i for i in range(n)]
+    tops = set()
+    for g in gens:
+        gx = g.exps
+        if len(gx) != n:
+            raise ValueError("ambient mismatch")
+        if all(map(le, gx, bx)):
+            tops.add(sum(compress(bits, map(lt, gx, bx))))  # S_g
     faces = set()
-    for k in range(len(support) + 1):
-        for combo in itertools.combinations(support, k):
-            q = list(b.exps)
-            for i in combo:
-                q[i - 1] -= 1
-            if any(all(map(le, g, q)) for g in below):
-                faces.add(frozenset(combo))
+    for top in tops:
+        sub = top
+        while True:  # every submask of top, from the top down
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & top
     return SimplicialComplex(frozenset(faces))
 
 
@@ -126,6 +153,4 @@ def brute_intersection(A, B) -> tuple[Monomial, ...]:
     A, B = list(A), list(B)
     if not A or not B:
         raise ValueError("need generators on both sides")
-    from .monomials import lcm
-
     return minimal_under_divisibility(lcm(a, b) for a in A for b in B)

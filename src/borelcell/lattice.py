@@ -12,8 +12,13 @@ Rankedness: with equigenerated atoms the check is the degree criterion,
 every cover above the bottom raises degree by exactly one (sufficient for
 rankedness since degree then grades every interval).  With mixed-degree
 atoms the general definition is checked instead: all maximal chains of
-every interval have equal length, decided by memoized chain-length sets
-over the cover relation, guarded by a budget.
+every interval have equal length.  Maximal chains are cover paths, so one
+pass up the covers in canonical (degree-first) order carries the set of
+chain lengths of every [bottom, x].  Checking those intervals alone is
+exact: if each has a single length rho(x), then rho(c) = rho(m) + 1 for
+every cover m < c, so rho is a rank function and every chain of [m, n] has
+length rho(n) - rho(m).  The witness is the first x with several lengths,
+the bottom being the canonically first lower end.  A budget bounds them.
 """
 from __future__ import annotations
 
@@ -44,10 +49,6 @@ __all__ = [
 
 class ChainBudgetExceeded(RuntimeError):
     pass
-
-
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(map(le, a, b))
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class LcmLattice:
             # a join above another is above a minimal one of lower degree
             covs: list[tuple[int, ...]] = []
             for j in sorted(joins, key=sum):
-                if not any(_divides(k, j) for k in covs):
+                if not any(all(map(le, k, j)) for k in covs):
                     covs.append(j)
             out[m] = tuple(sorted((element[j] for j in covs), key=canonical_key))
         return out
@@ -134,68 +135,45 @@ class RankedReport:
         return self.ranked
 
 
-def _chain_length_sets(L: LcmLattice, budget: int):
-    """For every comparable pair (m, n): the set of maximal chain lengths.
-
-    Maximal chains of an interval of a lattice are exactly the cover paths,
-    so the sets satisfy len(m, n) = union over covers c of m inside [m, n]
-    of 1 + len(c, n).
-    """
-    memo: dict[tuple[Monomial, Monomial], frozenset[int]] = {}
-    order = sorted(L.sorted_elements, key=lambda m: -m.degree)
-    for m in order:
-        for n in L.sorted_elements:
-            if not _divides(m.exps, n.exps):
-                continue
-            if m is n:
-                memo[(m, n)] = frozenset([0])
-                continue
-            acc = set()
-            for c in L.covers[m]:
-                if _divides(c.exps, n.exps):
-                    acc.update(l + 1 for l in memo[(c, n)])
-            memo[(m, n)] = frozenset(acc)
-            if len(memo) > budget:
-                raise ChainBudgetExceeded(
-                    f"chain-length table exceeded budget {budget}"
-                )
-    return memo
-
-
 def is_ranked(L: LcmLattice, chain_budget: int = 500_000) -> RankedReport:
     """Decide rankedness; see the module docstring for the two criteria."""
-    atom_degrees = {a.degree for a in L.atoms}
-    if len(atom_degrees) == 1:
+    if len({a.degree for a in L.atoms}) == 1:
         for m in L.sorted_elements[1:]:  # the bottom sorts first
             for c in L.covers[m]:
                 if c.degree != m.degree + 1:
                     return RankedReport(False, "degree", witness_cover=(m, c))
         return RankedReport(True, "degree")
 
-    memo = _chain_length_sets(L, chain_budget)
-    bad = [(m, n) for (m, n), ls in memo.items() if len(ls) > 1]
-    if not bad:
+    # chain lengths of [bottom, x], pushed up the covers; every lower cover
+    # of x has lower degree, so sorts first and is read, complete, before x
+    lengths: dict[Monomial, set[int]] = {L.bottom: {0}}
+    entries = 0
+    for x in L.sorted_elements:
+        ls = lengths.pop(x)
+        entries += len(ls)
+        if entries > chain_budget:
+            raise ChainBudgetExceeded(
+                f"chain-length table exceeded budget {chain_budget}"
+            )
+        if len(ls) > 1:
+            break
+        for c in L.covers[x]:
+            lengths.setdefault(c, set()).update(l + 1 for l in ls)
+    else:
         return RankedReport(True, "chains")
-    bad.sort(key=lambda p: (canonical_key(p[0]), canonical_key(p[1])))
-    m0, n0 = bad[0]
-    lengths = tuple(sorted(memo[(m0, n0)]))
     # prefer a jump cover away from the bottom; one with jump >= 2 always
     # exists on any shorter-than-degree chain of an unranked interval
     jumps = [
-        (m, c)
-        for m in L.sorted_elements
-        for c in L.covers[m]
-        if c.degree >= m.degree + 2
+        (m, c) for m, cs in L.covers.items() for c in cs if c.degree > m.degree + 1
     ]
-    jumps.sort(
-        key=lambda p: (p[0] == L.bottom, canonical_key(p[0]), canonical_key(p[1]))
+    witness = min(
+        jumps,
+        key=lambda p: (p[0] == L.bottom, canonical_key(p[0]), canonical_key(p[1])),
+        default=None,
     )
-    witness = jumps[0] if jumps else None
+    interval = (L.bottom, x, tuple(sorted(ls)))
     return RankedReport(
-        False,
-        "chains",
-        witness_cover=witness,
-        witness_interval=(m0, n0, lengths),
+        False, "chains", witness_cover=witness, witness_interval=interval
     )
 
 

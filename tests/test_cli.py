@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from borelcell.builders import principal_complex
+from borelcell.builders import induced_complex, principal_complex
 from borelcell.cli import main
-from borelcell.complexes import simplex
+from borelcell.complexes import LabeledComplex, simplex
 from borelcell.monomials import parse_monomial
 from borelcell.serialize import dict_to_complex, export_json
 
@@ -118,6 +118,21 @@ class TestComplex:
         assert rc == 0
         assert "dimension 2, f-vector (5, 6, 2)" in out
         assert "recursive = extract: yes" in out
+
+    def test_methods_disagree(self, capsys, monkeypatch):
+        def drop_a_maximal_cell(I):
+            faces = dict(induced_complex(I).faces)
+            # a cell of top dimension is a face of no other cell
+            del faces[max(faces, key=lambda f: (faces[f], sorted(map(str, f))))]
+            return LabeledComplex(I.n, faces)
+
+        monkeypatch.setattr("borelcell.cli.induced_complex", drop_a_maximal_cell)
+        rc, out, _ = run(
+            capsys, "complex", "Q", "--vars", "3", "--borel", "bc", "--method", "both"
+        )
+        assert rc == 1
+        assert "dimension 2, f-vector (5, 6, 2)" in out
+        assert "recursive = extract: no" in out
 
     def test_p_needs_degree(self, capsys):
         rc, _, err = run(capsys, "complex", "P", "--vars", "3")

@@ -1,4 +1,8 @@
+import itertools
+from operator import le
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from borelcell.borel import BorelIdeal, expand_principal, min_monomial
 from borelcell.builders import borel_complex, principal_complex
@@ -10,10 +14,12 @@ from borelcell.koszul import (
     simplicial_homology,
     upper_koszul,
 )
-from borelcell.monomials import parse_monomial
+from borelcell.lattice import build_lattice
+from borelcell.monomials import Monomial, monomials_of_degree, parse_monomial
 from borelcell.resolution import betti_from_cells, betti_totals, verify_resolution
 
 Q = Field.rationals()
+FIELDS = (Q, Field.parse("p:2"))
 
 
 def m(text, n=3):
@@ -21,7 +27,7 @@ def m(text, n=3):
 
 
 def K(*faces):
-    return SimplicialComplex(frozenset(frozenset(f) for f in faces))
+    return SimplicialComplex.from_faces(faces)
 
 
 class TestSimplicialComplex:
@@ -127,3 +133,131 @@ class TestBruteIntersection:
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError, match="both sides"):
             brute_intersection([], [m("a")])
+
+
+# ---- the subset-enumeration and dense-matrix algorithms, as references
+
+
+def subset_upper_koszul(gens, b):
+    """K^b by testing every squarefree t inside supp(b)."""
+    below = [g.exps for g in gens if g.divides(b)]
+    support = [i for i in range(1, b.n + 1) if b.exps[i - 1] > 0]
+    faces = set()
+    for k in range(len(support) + 1):
+        for combo in itertools.combinations(support, k):
+            q = list(b.exps)
+            for i in combo:
+                q[i - 1] -= 1
+            if any(all(map(le, g, q)) for g in below):
+                faces.add(frozenset(combo))
+    return frozenset(faces)
+
+
+def dense_homology(faces, fld):
+    """Reduced homology from the rank of every boundary matrix."""
+    if not faces:
+        return ()
+    top = max(len(f) for f in faces)
+    by_dim = [sorted(tuple(sorted(f)) for f in faces if len(f) == k) for k in range(top + 1)]
+    pos = [{f: i for i, f in enumerate(bucket)} for bucket in by_dim]
+    ranks = [0]
+    for d in range(1, top + 1):
+        mat = [[0] * len(by_dim[d]) for _ in by_dim[d - 1]]
+        for j, face in enumerate(by_dim[d]):
+            for i in range(len(face)):
+                mat[pos[d - 1][face[:i] + face[i + 1 :]]][j] = (-1) ** i
+        ranks.append(fld.rank(mat))
+    ranks.append(0)
+    return tuple(len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(top + 1))
+
+
+def closure(facets):
+    return frozenset(
+        frozenset(t)
+        for f in facets
+        for k in range(len(f) + 1)
+        for t in itertools.combinations(sorted(f), k)
+    )
+
+
+FULL = closure([{1, 2, 3}])
+HOLLOW = FULL - {frozenset({1, 2, 3})}
+
+# downward closures of up to 5 facets on at most 6 vertices; [] is the void
+complexes = st.lists(
+    st.frozensets(st.integers(1, 6), max_size=6), max_size=5
+).map(closure)
+
+# Borel ideals in at most 4 variables, degree at most 3
+small_borel = st.integers(2, 4).flatmap(
+    lambda n: st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.sampled_from(list(monomials_of_degree(n, d))), min_size=1, max_size=3
+        ).map(lambda gens: BorelIdeal.from_borel_gens(n, gens))
+    )
+)
+
+# mixed-degree generators and any degree b, in or out of the lattice
+gens_and_degree = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+                lambda e: Monomial(tuple(e))
+            ),
+            max_size=4,
+        ),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+            lambda e: Monomial(tuple(e))
+        ),
+    )
+)
+
+
+class TestAgainstReferences:
+    @given(complexes)
+    @example(frozenset())
+    @example(frozenset([frozenset()]))
+    @example(FULL)
+    @example(HOLLOW)
+    @settings(max_examples=80, deadline=None)
+    def test_homology_matches_the_dense_ranks(self, faces):
+        X = SimplicialComplex.from_faces(faces)
+        assert X.faces == faces
+        for fld in FIELDS:
+            assert simplicial_homology(X, fld) == dense_homology(faces, fld)
+
+    @given(gens_and_degree)
+    @settings(max_examples=80, deadline=None)
+    def test_faces_match_subset_enumeration(self, case):
+        gens, b = case
+        assert upper_koszul(gens, b).faces == subset_upper_koszul(gens, b)
+
+    @given(small_borel)
+    @example(expand_principal(m("bc")))
+    @settings(max_examples=25, deadline=None)
+    def test_every_lattice_degree(self, I):
+        gens = list(I.expanded)
+        for b in build_lattice(gens).sorted_elements:
+            faces = subset_upper_koszul(gens, b)
+            X = upper_koszul(gens, b)
+            assert X.faces == faces, b
+            for fld in FIELDS:
+                assert simplicial_homology(X, fld) == dense_homology(faces, fld), b
+
+    def test_only_a_full_simplex_skips_the_ranks(self, monkeypatch):
+        calls = []
+        rank = Field.rank
+        monkeypatch.setattr(
+            Field, "rank", lambda self, rows: calls.append(rows) or rank(self, rows)
+        )
+        assert simplicial_homology(SimplicialComplex.from_faces(FULL), Q) == (0,) * 4
+        assert simplicial_homology(K(set()), Q) == (1,)
+        assert not calls
+        assert simplicial_homology(SimplicialComplex.from_faces(HOLLOW), Q) == (0, 0, 1)
+        assert len(calls) == 2
+
+    def test_face_masks_are_checked(self):
+        with pytest.raises(ValueError, match="bitmask"):
+            SimplicialComplex(frozenset([-1]))
+        with pytest.raises(ValueError, match="vertices"):
+            K({0})

@@ -12,6 +12,7 @@ from borelcell.borel import (
 from borelcell.lattice import (
     ChainBudgetExceeded,
     LcmLattice,
+    RankedReport,
     build_lattice,
     is_ranked,
     maximal_chains,
@@ -179,6 +180,80 @@ class TestIsRanked:
     def test_budget_guard(self):
         with pytest.raises(ChainBudgetExceeded):
             is_ranked(mixed_lattice(), chain_budget=2)
+
+
+def all_pairs_is_ranked(L):
+    """Rankedness by the all-pairs chain-length table over every interval."""
+    if len({a.degree for a in L.atoms}) == 1:
+        for x in L.sorted_elements[1:]:
+            for c in L.covers[x]:
+                if c.degree != x.degree + 1:
+                    return RankedReport(False, "degree", witness_cover=(x, c))
+        return RankedReport(True, "degree")
+    memo = {}
+    for lo in sorted(L.sorted_elements, key=lambda e: -e.degree):
+        for hi in L.sorted_elements:
+            if not lo.divides(hi):
+                continue
+            if lo == hi:
+                memo[(lo, hi)] = frozenset([0])
+                continue
+            memo[(lo, hi)] = frozenset(
+                l + 1
+                for c in L.covers[lo]
+                if c.divides(hi)
+                for l in memo[(c, hi)]
+            )
+    bad = sorted(
+        ((lo, hi) for (lo, hi), ls in memo.items() if len(ls) > 1),
+        key=lambda p: (canonical_key(p[0]), canonical_key(p[1])),
+    )
+    if not bad:
+        return RankedReport(True, "chains")
+    lo, hi = bad[0]
+    jumps = sorted(
+        ((x, c) for x in L.sorted_elements for c in L.covers[x]
+         if c.degree >= x.degree + 2),
+        key=lambda p: (p[0] == L.bottom, canonical_key(p[0]), canonical_key(p[1])),
+    )
+    return RankedReport(
+        False,
+        "chains",
+        witness_cover=jumps[0] if jumps else None,
+        witness_interval=(lo, hi, tuple(sorted(memo[(lo, hi)]))),
+    )
+
+
+# Borel generators of mixed degree 1..3 in at most 4 variables
+mixed_borel = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.sampled_from(
+            [g for d in (1, 2, 3) for g in monomials_of_degree(n, d)]
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(lambda gens: list(borel_generators(n, gens)))
+)
+
+
+class TestRankedAgainstAllPairs:
+    @given(st.one_of(generator_lists, mixed_borel))
+    @example([m(t, 4) for t in ("ab", "ac", "a*d^2", "b^2*c*d^2")])
+    @example([m("a^2", 2), m("b^2", 2)])
+    @example([m("a", 3), m("b^2", 3), m("c^3", 3)])
+    @example(  # three chain lengths (2, 3, 4) under the top
+        [m(t, 6) for t in ("x1*x2*x4", "x2*x3*x4", "x1*x4*x5", "x3*x4*x5*x6", "x1*x2*x3*x5*x6")]
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_report_as_the_all_pairs_table(self, gens):
+        L = build_lattice(gens)
+        assert is_ranked(L) == all_pairs_is_ranked(L)
+
+    def test_budget_bounds_the_bottom_table(self):
+        L = mixed_lattice()
+        assert not is_ranked(L, chain_budget=len(L))
+        with pytest.raises(ChainBudgetExceeded, match="budget 5"):
+            is_ranked(L, chain_budget=5)
 
 
 class TestChains:

@@ -26,3 +26,19 @@ def test_stdlib_imports_and_no_asserts(path):
             continue
         for top in tops:
             assert top in sys.stdlib_module_names, f"non-stdlib import {top} at {where}"
+
+
+def test_koszul_oracle_is_independent_of_the_builders():
+    """The Koszul oracle shares no code with the complexes it cross-checks."""
+    path = Path(__file__).parents[1] / "src" / "borelcell" / "koszul.py"
+    forbidden = {"builders", "complexes", "resolution", "borel"}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for p in paths:
+            hit = forbidden.intersection(p.split("."))
+            assert not hit, f"koszul.py:{node.lineno} imports {sorted(hit)}"
