@@ -1,159 +1,41 @@
 """Polyhedral cell complexes supporting minimal free resolutions of Borel
-fixed ideals generated in one degree, with exact machine verification."""
+fixed ideals generated in one degree, with exact machine verification.
+
+The package re-exports the public names of its modules, each listed once
+in that module's __all__."""
 
 __version__ = "0.1.0"
 
-from .borel import (
-    BorelIdeal,
-    PrincipalForm,
-    borel_generators,
-    borel_minimalize,
-    eliahou_kervaire_betti,
-    expand_principal,
-    in_principal,
-    intersect_borel,
-    is_borel_fixed,
-    min_monomial,
-    multiply_sets,
-    parse_ideal_spec,
-    principal_decomposition,
-    random_borel_minimal,
+from . import (
+    borel,
+    builders,
+    complexes,
+    exact,
+    koszul,
+    lattice,
+    monomials,
+    resolution,
+    serialize,
 )
-from .builders import borel_complex, induced_complex, power_complex, principal_complex
-from .complexes import (
-    Cell,
-    LabeledComplex,
-    product,
-    restrict,
-    scale_labels,
-    simplex,
-    spanned_subcomplex,
-    union,
-)
-from .exact import Field, is_prime, rank_mod_p, rank_rationals
-from .koszul import (
-    SimplicialComplex,
-    betti_via_koszul,
-    brute_intersection,
-    simplicial_homology,
-    upper_koszul,
-)
-from .lattice import (
-    ChainBudgetExceeded,
-    LabelChainReport,
-    LcmLattice,
-    RankedReport,
-    build_lattice,
-    is_ranked,
-    maximal_chains,
-    natural_label_check,
-)
-from .monomials import (
-    Monomial,
-    VarRange,
-    canonical_key,
-    lcm,
-    lcm_many,
-    minimal_under_divisibility,
-    monomials_of_degree,
-    parse_monomial,
-    rlex_cmp,
-    rlex_key,
-    suffix_sums,
-    unit,
-    variable,
-)
-from .resolution import (
-    ChainComplex,
-    CheckResult,
-    ResolutionReport,
-    betti_from_cells,
-    betti_totals,
-    chain_complex,
-    check_boundary_squared_zero,
-    check_minimal,
-    homology_dims,
-    verify_resolution,
-)
-from .serialize import (
-    complex_to_dict,
-    dict_to_complex,
-    dumps,
-    export_json,
-    import_json,
-)
+from .borel import *
+from .builders import *
+from .complexes import *
+from .exact import *
+from .koszul import *
+from .lattice import *
+from .monomials import *
+from .resolution import *
+from .serialize import *
 
 __all__ = [
     "__version__",
-    "Monomial",
-    "VarRange",
-    "variable",
-    "unit",
-    "lcm",
-    "lcm_many",
-    "suffix_sums",
-    "rlex_cmp",
-    "rlex_key",
-    "canonical_key",
-    "parse_monomial",
-    "monomials_of_degree",
-    "minimal_under_divisibility",
-    "BorelIdeal",
-    "PrincipalForm",
-    "in_principal",
-    "expand_principal",
-    "is_borel_fixed",
-    "borel_minimalize",
-    "min_monomial",
-    "intersect_borel",
-    "principal_decomposition",
-    "eliahou_kervaire_betti",
-    "random_borel_minimal",
-    "borel_generators",
-    "multiply_sets",
-    "parse_ideal_spec",
-    "Cell",
-    "LabeledComplex",
-    "simplex",
-    "product",
-    "union",
-    "scale_labels",
-    "restrict",
-    "spanned_subcomplex",
-    "power_complex",
-    "principal_complex",
-    "borel_complex",
-    "induced_complex",
-    "Field",
-    "is_prime",
-    "rank_rationals",
-    "rank_mod_p",
-    "ChainComplex",
-    "chain_complex",
-    "check_boundary_squared_zero",
-    "homology_dims",
-    "CheckResult",
-    "ResolutionReport",
-    "verify_resolution",
-    "check_minimal",
-    "betti_from_cells",
-    "betti_totals",
-    "LcmLattice",
-    "build_lattice",
-    "RankedReport",
-    "is_ranked",
-    "maximal_chains",
-    "LabelChainReport",
-    "natural_label_check",
-    "ChainBudgetExceeded",
-    "SimplicialComplex",
-    "simplicial_homology",
-    "upper_koszul",
-    "betti_via_koszul",
-    "brute_intersection",
-    "complex_to_dict",
-    "dict_to_complex",
-    "dumps",
-    "export_json",
-    "import_json",
+    *monomials.__all__,
+    *borel.__all__,
+    *complexes.__all__,
+    *builders.__all__,
+    *exact.__all__,
+    *resolution.__all__,
+    *lattice.__all__,
+    *koszul.__all__,
+    *serialize.__all__,
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "eliahou_kervaire_betti",
     "random_borel_minimal",
     "borel_generators",
-    "multiply_sets",
     "parse_ideal_spec",
 ]
 
@@ -298,19 +297,6 @@ def borel_generators(n: int, ms) -> tuple[Monomial, ...]:
     for m in ms:
         everything.update(_expand_principal_set(m))
     return minimal_under_divisibility(everything)
-
-
-def multiply_sets(A, B) -> frozenset[Monomial]:
-    """All pairwise products of two generator sets.
-
-    The cardinality |A|*|B| is asserted: the polytopal product construction
-    is only valid when distinct pairs give distinct products.
-    """
-    A, B = list(A), list(B)
-    out = frozenset(a * b for a in A for b in B)
-    if len(out) != len(A) * len(B):
-        raise ValueError("generator-set product has colliding products")
-    return out
 
 
 def parse_ideal_spec(text: str, default_n: int | None = None):

@@ -1,4 +1,4 @@
-"""Brute-force oracles: upper Koszul simplicial complexes and intersections.
+"""Brute-force oracle: upper Koszul simplicial complexes.
 
 These are deliberately independent of the polytopal builders.  The graded
 Betti number beta_{i,b} of a monomial ideal equals the reduced homology
@@ -10,7 +10,7 @@ When the union of all faces is itself a face, the complex is a full simplex:
 a cone, hence acyclic, on k >= 1 vertices, and {empty face} for k = 0.  Its
 homology needs no rank; that is most lattice degrees.  The rest go through
 the same exact kernel as the resolution checks, on independently built
-matrices.  Intersections are checked against the pairwise-lcm description.
+matrices.
 """
 from __future__ import annotations
 
@@ -21,14 +21,13 @@ from operator import le, lt, or_
 
 from .exact import Field
 from .lattice import build_lattice
-from .monomials import Monomial, canonical_key, lcm, minimal_under_divisibility
+from .monomials import Monomial, canonical_key
 
 __all__ = [
     "SimplicialComplex",
     "simplicial_homology",
     "upper_koszul",
     "betti_via_koszul",
-    "brute_intersection",
 ]
 
 
@@ -147,10 +146,3 @@ def betti_via_koszul(
                 table[(pos_in_tuple, b)] = h  # beta_{i,b} = H_{i-1}, i = pos
     return table
 
-
-def brute_intersection(A, B) -> tuple[Monomial, ...]:
-    """Minimal generators of the intersection of two monomial ideals."""
-    A, B = list(A), list(B)
-    if not A or not B:
-        raise ValueError("need generators on both sides")
-    return minimal_under_divisibility(lcm(a, b) for a in A for b in B)

@@ -29,6 +29,27 @@ eliminate  a residue of one vertex is acyclic over every field.  Otherwise
            field; the residue has the reduced homology of the selected
            subcomplex, so the reported homology and witnesses are exactly
            those of homology_dims(restrict(X, b), field).
+
+Degrees run in canonical order, so every degree below b in the lattice is
+decided before b, and after select the kernel first collapses relative to
+one of them:
+
+lower      for each v with b_v > 0, ANDing X_{<=b} with the
+           "exponent <= b_v - 1" mask gives X_{<=m}, where m is the largest
+           lattice element dividing b - e_v (every cell label is a lattice
+           element).  Every a < b divides one such m, so the largest of
+           these masks is X_{<=a} for a lower cover a of b, found without
+           computing covers.
+relative   if X_{<=a} passed, collapse only D = X_{<=b} minus X_{<=a}.
+           X_{<=a} is closed under faces, so every coface of a cell in D is
+           in D, and a collapse whose free face lies in D stays in D.  If
+           such collapses empty D, X_{<=b} collapses onto the acyclic
+           X_{<=a}, and b passes.
+fallback   an atom (one vertex, nothing below it), a degree whose lower
+           selection failed, and a degree whose relative collapse leaves
+           cells of D run collapse and eliminate on all of X_{<=b}.  The
+           relative step passes only degrees that are acyclic, so reports
+           and witnesses are exactly those of the absolute steps alone.
 """
 from __future__ import annotations
 
@@ -190,7 +211,8 @@ class ResolutionReport:
 def _acyclicity_checks(
     X: LabeledComplex, fld: Field, degrees
 ) -> list[CheckResult]:
-    """One check per degree: select, collapse, eliminate (module docstring)."""
+    """One check per degree: select, then collapse onto a passed lower
+    selection, or else collapse and eliminate (module docstring)."""
     cells = X.cells  # cell ids are positions, ordered by dimension
     facets = [[fid for fid, _ in c.facets] for c in cells]
     comask = [0] * len(cells)
@@ -208,22 +230,33 @@ def _acyclicity_checks(
         below.append(masks)
 
     everything = (1 << len(cells)) - 1
+    passed: set[int] = set()  # selections certified acyclic
     checks = []
     for b in degrees:
         live = everything
         for masks, e in zip(below, b.exps):
             if e < len(masks) - 1:
                 live &= masks[e]
-        # never void: b is divisible by an atom, a vertex label of X
-        top = cells[live.bit_length() - 1].dim
-        residue = _collapse(live, comask, facets)
-        if residue & (residue - 1) == 0:
-            dims = (0,) * (top + 2)
+        # X_{<=a} for a lower cover a of b, decided earlier in degree order
+        lower = max(
+            (live & masks[e - 1] for masks, e in zip(below, b.exps) if e),
+            default=0,
+        )
+        if lower in passed and _collapse(live, lower, comask, facets) == lower:
+            dims = ()  # collapses onto an acyclic selection: module docstring
         else:
-            dims = _residual_homology(cells, _bits(residue), top, fld)
+            # never void: b is divisible by an atom, a vertex label of X
+            top = cells[live.bit_length() - 1].dim
+            residue = _collapse(live, 0, comask, facets)
+            if residue & (residue - 1) == 0:
+                dims = (0,) * (top + 2)
+            else:
+                dims = _residual_homology(cells, _bits(residue), top, fld)
         ok = not any(dims)
         witness = None
-        if not ok:
+        if ok:
+            passed.add(live)
+        else:
             witness = {
                 "reduced_homology": list(dims),
                 "first_nonzero": next(i - 1 for i, h in enumerate(dims) if h != 0),
@@ -239,23 +272,31 @@ def _acyclicity_checks(
     return checks
 
 
-def _collapse(live: int, comask: list[int], facets: list[list[int]]) -> int:
-    """The cells left of a face-closed selection after elementary collapses."""
-    selected = _bits(live)
-    count = {i: (comask[i] & live).bit_count() for i in selected}
+def _collapse(
+    live: int, lower: int, comask: list[int], facets: list[list[int]]
+) -> int:
+    """The cells left of a face-closed selection after elementary collapses
+    whose free face lies outside its face-closed subcomplex `lower`.
+
+    Every coface of a cell outside `lower` is outside it too, so the free
+    faces and their coface counts all live in live ^ lower.
+    """
+    part = live ^ lower
+    selected = _bits(part)
+    count = {i: (comask[i] & part).bit_count() for i in selected}
     free = [i for i in reversed(selected) if count[i] == 1]
     while free:
         f = free.pop()
-        if not live >> f & 1 or count[f] != 1:
+        if not part >> f & 1 or count[f] != 1:
             continue
-        c = (comask[f] & live).bit_length() - 1  # maximal: module docstring
-        live ^= (1 << f) | (1 << c)
+        c = (comask[f] & part).bit_length() - 1  # maximal: module docstring
+        part ^= (1 << f) | (1 << c)
         for g in facets[c] + facets[f]:
-            if g != f:
+            if g != f and g in count:
                 count[g] -= 1
                 if count[g] == 1:
                     free.append(g)
-    return live
+    return part | lower
 
 
 def _residual_homology(cells, residue: list[int], top: int, fld: Field):

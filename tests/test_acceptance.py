@@ -26,12 +26,14 @@ from borelcell.builders import (
 )
 from borelcell.cli import main
 from borelcell.complexes import LabeledComplex
-from borelcell.koszul import betti_via_koszul, brute_intersection
+from borelcell.koszul import betti_via_koszul
 from borelcell.lattice import build_lattice, is_ranked, natural_label_check
 from borelcell.monomials import (
     Monomial,
     VarRange,
     canonical_key,
+    lcm,
+    minimal_under_divisibility,
     monomials_of_degree,
     parse_monomial,
     unit,
@@ -108,7 +110,8 @@ def test_criterion_2_min_monomial():
         left = expand_principal(u).expanded
         right = expand_principal(v).expanded
         direct = set(left) & set(right)
-        brute = set(brute_intersection(left, right))
+        pairwise = (lcm(a, b) for a in left for b in right)
+        brute = set(minimal_under_divisibility(pairwise))
         via_min = set(expand_principal(min_monomial(u, v)).expanded)
         if not (via_min == direct == brute):
             mismatches += 1

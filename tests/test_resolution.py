@@ -1,13 +1,14 @@
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borelcell import exact
+from borelcell import exact, resolution
 from borelcell.borel import BorelIdeal, expand_principal
 from borelcell.builders import borel_complex, power_complex, principal_complex
-from borelcell.complexes import Cell, LabeledComplex, restrict, simplex
+from borelcell.complexes import Cell, LabeledComplex, _bits, restrict, simplex
 from borelcell.exact import Field, rank_mod_p, rank_rationals
 from borelcell.lattice import build_lattice
 from borelcell.monomials import (
@@ -19,6 +20,8 @@ from borelcell.monomials import (
 )
 from borelcell.resolution import (
     ChainComplex,
+    CheckResult,
+    _residual_homology,
     betti_from_cells,
     betti_totals,
     chain_complex,
@@ -30,6 +33,7 @@ from borelcell.resolution import (
 from borelcell.serialize import dict_to_complex, dumps
 
 Q = Field.rationals()
+DATA = Path(__file__).parent / "data"
 
 
 def m(text, n=3):
@@ -378,3 +382,185 @@ class TestCellsAgainstBruteForce:
                 inner = {t for t, d in X.faces.items() if d == c.dim - 2 and t < f}
                 assert {key[r] for r in ridges} == inner
         assert dict_to_complex(json.loads(dumps(X))).cells == cells
+
+
+# ---- the absolute-only kernel (every degree collapsed from scratch), as reference
+
+
+def absolute_acyclicity_checks(X, fld, degrees):
+    """One check per degree: select, collapse all of X_{<=b}, eliminate."""
+    cells = X.cells
+    facets = [[fid for fid, _ in c.facets] for c in cells]
+    comask = [0] * len(cells)
+    for c in cells:
+        for fid in facets[c.id]:
+            comask[fid] |= 1 << c.id
+    below = []
+    for v in range(X.n):
+        masks = [0] * (max(c.label.exps[v] for c in cells) + 1)
+        for c in cells:
+            masks[c.label.exps[v]] |= 1 << c.id
+        for k in range(1, len(masks)):
+            masks[k] |= masks[k - 1]
+        below.append(masks)
+
+    everything = (1 << len(cells)) - 1
+    checks = []
+    for b in degrees:
+        live = everything
+        for masks, e in zip(below, b.exps):
+            if e < len(masks) - 1:
+                live &= masks[e]
+        top = cells[live.bit_length() - 1].dim
+        residue = absolute_collapse(live, comask, facets)
+        if residue & (residue - 1) == 0:
+            dims = (0,) * (top + 2)
+        else:
+            dims = _residual_homology(cells, _bits(residue), top, fld)
+        ok = not any(dims)
+        witness = None
+        if not ok:
+            witness = {
+                "reduced_homology": list(dims),
+                "first_nonzero": next(i - 1 for i, h in enumerate(dims) if h != 0),
+            }
+        checks.append(
+            CheckResult(
+                name="acyclic",
+                status="pass" if ok else "fail",
+                degree=b.canonical(),
+                witness=witness,
+            )
+        )
+    return checks
+
+
+def absolute_collapse(live, comask, facets):
+    """The cells left of a face-closed selection after elementary collapses."""
+    selected = _bits(live)
+    count = {i: (comask[i] & live).bit_count() for i in selected}
+    free = [i for i in reversed(selected) if count[i] == 1]
+    while free:
+        f = free.pop()
+        if not live >> f & 1 or count[f] != 1:
+            continue
+        c = (comask[f] & live).bit_length() - 1
+        live ^= (1 << f) | (1 << c)
+        for g in facets[c] + facets[f]:
+            if g != f:
+                count[g] -= 1
+                if count[g] == 1:
+                    free.append(g)
+    return live
+
+
+def golden_drop_mutants():
+    """The importable single-edit mutants of the mutation-suite files: X
+    without one of its maximal cells, one per maximal cell."""
+    out = []
+    for name in ("complex_P43.json", "complex_Q4_bd2.json"):
+        X = dict_to_complex(json.loads((DATA / name).read_text()))
+        facet_ids = {fid for c in X.cells for fid, _ in c.facets}
+        tops = [c for c in X.cells if c.id not in facet_ids]
+        out += [(name, drop_maximal_cell(X, k)) for k in range(len(tops))]
+    return out
+
+
+def assert_matches_absolute(X, I, fld):
+    report = verify_resolution(X, I, fld)
+    degrees = build_lattice(I).sorted_elements[1:]
+    assert list(report.checks[1:]) == absolute_acyclicity_checks(X, fld, degrees)
+    return report
+
+
+class TestRelativeAgainstAbsoluteKernel:
+    """Relative collapse decides every degree as the absolute kernel does."""
+
+    @given(
+        small_borel,
+        st.sampled_from(["q", "p:2"]),
+        st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_borel_ideals_and_mutants(self, ideal, field_text, pick):
+        n, gens = ideal
+        I = BorelIdeal.from_borel_gens(n, gens)
+        X = borel_complex(I)
+        if pick is not None:
+            X = drop_maximal_cell(X, pick) or X
+        assert_matches_absolute(X, I, Field.parse(field_text))
+
+    @pytest.mark.parametrize("field_text", ["q", "p:2"])
+    def test_golden_drop_mutants(self, field_text):
+        mutants = golden_drop_mutants()
+        assert len(mutants) == 17
+        for name, X in mutants:
+            # the ideal of the vertex labels, as `verify --in` takes it
+            I = BorelIdeal.from_expanded(X.n, frozenset(X.vertex_labels))
+            report = assert_matches_absolute(X, I, Field.parse(field_text))
+            assert not report.ok, name
+
+
+def kernel_paths(monkeypatch, X, I, fld=Q):
+    """verify's report, and how each lattice degree was decided, in order.
+
+    "relative": X_{<=b} collapsed onto its lower selection.  "stuck": the
+    relative collapse left cells, so the absolute steps ran.  "atom": the
+    absolute steps on a single vertex.  "lower failed": the absolute steps
+    alone on a non-atom, whose lower selection had not passed.
+    """
+    calls = []
+    real = resolution._collapse
+
+    def spy(live, lower, comask, facets):
+        left = real(live, lower, comask, facets)
+        calls.append((live, lower, left))
+        return left
+
+    with monkeypatch.context() as patch:
+        patch.setattr(resolution, "_collapse", spy)
+        report = verify_resolution(X, I, fld)
+    paths, it = [], iter(calls)
+    for live, lower, left in it:
+        if not lower:
+            paths.append("lower failed" if live & (live - 1) else "atom")
+        elif left == lower:
+            paths.append("relative")
+        else:
+            paths.append("stuck")
+            assert next(it)[:2] == (live, 0)
+    assert len(paths) == len(report.checks) - 1
+    return report, paths
+
+
+class TestKernelPaths:
+    @pytest.mark.parametrize(
+        "n, top",
+        [(4, "x4^4"), (5, "x5^3"), (5, "x2*x3*x5,x1*x4^2")],
+    )
+    def test_every_non_atom_degree_is_relative(self, monkeypatch, n, top):
+        I = BorelIdeal.from_borel_gens(
+            n, [parse_monomial(t, n) for t in top.split(",")]
+        )
+        report, paths = kernel_paths(monkeypatch, borel_complex(I), I)
+        assert report.ok
+        assert paths.count("atom") == len(I.expanded)
+        assert paths.count("relative") == len(paths) - len(I.expanded)
+
+    def test_failed_lower_selection_takes_the_absolute_path(self, monkeypatch):
+        # P(3,3) without a maximal cell: the first failing degree gets stuck
+        # relative to a passing one, and degrees above it fall back
+        X = power_complex(3, VarRange(1, 3), 3)
+        I = expand_principal(m("c^3"))
+        degrees = build_lattice(I).sorted_elements[1:]
+        facet_ids = {fid for c in X.cells for fid, _ in c.facets}
+        seen = set()
+        for pick in range(sum(c.id not in facet_ids for c in X.cells)):
+            Y = drop_maximal_cell(X, pick)
+            report, paths = kernel_paths(monkeypatch, Y, I)
+            reference = absolute_acyclicity_checks(Y, Q, degrees)
+            assert list(report.checks[1:]) == reference
+            for path, check in zip(paths, reference):
+                seen.add((path, check.status))
+        assert ("stuck", "fail") in seen
+        assert ("lower failed", "fail") in seen

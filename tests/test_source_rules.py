@@ -42,3 +42,16 @@ def test_koszul_oracle_is_independent_of_the_builders():
         for p in paths:
             hit = forbidden.intersection(p.split("."))
             assert not hit, f"koszul.py:{node.lineno} imports {sorted(hit)}"
+
+
+def test_verify_never_computes_lattice_covers():
+    """verify finds a lower cover of each degree from its cell masks.
+
+    `LcmLattice.covers` costs as much as the whole acyclicity kernel, so
+    resolution.py must not read it under any name or attribute.
+    """
+    path = Path(__file__).parents[1] / "src" / "borelcell" / "resolution.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        # attributes, names, imported names and strings (getattr, __dict__)
+        names = [getattr(node, k, None) for k in ("attr", "id", "name", "value")]
+        assert "covers" not in names, f"resolution.py:{getattr(node, 'lineno', '?')}"
