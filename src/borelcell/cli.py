@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .borel import (
@@ -82,27 +82,12 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, ns: argparse.Namespace) -> "RunConfig":
-        field_text = getattr(ns, "field", None) or os.environ.get(
-            "BORELCELL_FIELD", "q"
-        )
-        return cls(
-            command=ns.command,
-            field=Field.parse(field_text),
-            jobs=getattr(ns, "jobs", 1),
-            vars=getattr(ns, "vars", None),
-            degree=getattr(ns, "degree", None),
-            kind=getattr(ns, "kind", None),
-            method=getattr(ns, "method", None),
-            check=getattr(ns, "check", None),
-            interval=getattr(ns, "interval", None),
-            borel=getattr(ns, "borel", None),
-            mono=getattr(ns, "mono", None),
-            ideal=getattr(ns, "ideal", None),
-            monomials=tuple(getattr(ns, "monomials", ()) or ()),
-            in_path=getattr(ns, "in_path", None),
-            out=getattr(ns, "out", None),
-            report=getattr(ns, "report", None),
-        )
+        # each subcommand sets the flags it has; the rest keep their defaults
+        args = {f.name: getattr(ns, f.name) for f in fields(cls) if hasattr(ns, f.name)}
+        field_text = args.get("field") or os.environ.get("BORELCELL_FIELD", "q")
+        args["field"] = Field.parse(field_text)
+        args["monomials"] = tuple(args.get("monomials") or ())
+        return cls(**args)
 
 
 def _ideal_triple(cfg: RunConfig):

@@ -4,20 +4,25 @@ These are deliberately independent of the polytopal builders.  The graded
 Betti number beta_{i,b} of a monomial ideal equals the reduced homology
 dimension H_{i-1} of the upper Koszul complex K^b, the simplicial complex
 of squarefree monomials t with x^b / x^t in the ideal.  A generator g
-divides x^b / x^t exactly when g | x^b and t lies in S_g = {i : g_i < b_i},
+divides x^b / x^t exactly when g | x^b and t lies in S_g = {v : g_v < b_v},
 so K^b is the union of the full simplices on the S_g; faces are bitmasks.
-When the union of all faces is itself a face, the complex is a full simplex:
-a cone, hence acyclic, on k >= 1 vertices, and {empty face} for k = 0.  Its
-homology needs no rank; that is most lattice degrees.  The rest go through
-the same exact kernel as the resolution checks, on independently built
-matrices.
+
+Each degree is decided on generator bitmasks built once: below[v][k] holds
+the generators with exponent at most k in variable v.  Their AND at k = b_v
+is live, the g dividing x^b; strict[v] = live & below[v][b_v - 1] holds the
+g with v in S_g, and U = {v : strict[v] != 0} is the union of the faces.
+K^b is the full simplex on U, a cone or {empty face}, exactly when some S_g
+is U: when live stays nonzero ANDed with each nonzero strict[v].  That is
+most lattice degrees, and they need no face set and no rank.  The rest
+enumerate the submasks of their S_g and go through the same exact kernel as
+the resolution checks, on independently built matrices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
-from operator import le, lt, or_
+from itertools import accumulate
+from operator import and_, or_
 
 from .exact import Field
 from .lattice import build_lattice
@@ -79,13 +84,18 @@ class SimplicialComplex:
         return max((f.bit_count() - 1 for f in self.masks), default=-1)
 
 
+def _full_simplex_homology(union: int) -> tuple[int, ...]:
+    """A cone on k >= 1 vertices is acyclic; {empty face} has H_{-1} = k."""
+    return (0,) * (union.bit_count() + 1) if union else (1,)
+
+
 def simplicial_homology(K: SimplicialComplex, fld: Field) -> tuple[int, ...]:
     """Reduced homology dimensions (H_{-1}, ..., H_dim); () for the void."""
     if K.is_void:
         return ()
     union = reduce(or_, K.masks)
     if union in K.masks:  # a full simplex: a cone, or {empty face}
-        return (0,) * (union.bit_count() + 1) if union else (1,)
+        return _full_simplex_homology(union)
     by_dim: list[list[int]] = [[] for _ in range(K.dim + 2)]
     for f in sorted(K.masks):
         by_dim[f.bit_count()].append(f)
@@ -101,18 +111,42 @@ def simplicial_homology(K: SimplicialComplex, fld: Field) -> tuple[int, ...]:
     return tuple(len(b) - ranks[d] - ranks[d + 1] for d, b in enumerate(by_dim))
 
 
-def upper_koszul(gens, b: Monomial) -> SimplicialComplex:
-    """Squarefree t with x^b / x^t in the ideal of gens, as a union of simplices."""
-    bx = b.exps
-    n = len(bx)
-    bits = [1 << i for i in range(n)]
-    tops = set()
-    for g in gens:
-        gx = g.exps
-        if len(gx) != n:
-            raise ValueError("ambient mismatch")
-        if all(map(le, gx, bx)):
-            tops.add(sum(compress(bits, map(lt, gx, bx))))  # S_g
+def _generator_masks(gens, n: int) -> list[list[int]]:
+    """below[v][k]: the generators with exponent at most k in variable v,
+    for k up to the largest such exponent."""
+    exps = [g.exps for g in gens]
+    if any(len(e) != n for e in exps):
+        raise ValueError("ambient mismatch")
+    below = []
+    for v in range(n):
+        masks = [0] * (max((e[v] for e in exps), default=0) + 1)
+        for j, e in enumerate(exps):
+            masks[e[v]] |= 1 << j
+        below.append(list(accumulate(masks, or_)))
+    return below
+
+
+def _tops(below: list[list[int]], bx: tuple[int, ...]) -> list[int]:
+    """The distinct S_g of the generators dividing x^b: [] when K^b is void,
+    just [U] when K^b is the full simplex on U (module docstring)."""
+    if len(bx) != len(below):
+        raise ValueError("ambient mismatch")
+    live = reduce(and_, [masks[min(e, len(masks) - 1)] for masks, e in zip(below, bx)])
+    if not live:
+        return []
+    strict = [
+        live & masks[min(e, len(masks)) - 1] if e else 0
+        for masks, e in zip(below, bx)
+    ]
+    union = sum(1 << v for v, s in enumerate(strict) if s)
+    if reduce(and_, filter(None, strict), live):
+        return [union]
+    return list(
+        {sum(1 << v for v, s in enumerate(strict) if s >> g & 1) for g in _bits(live)}
+    )
+
+
+def _union_of_simplices(tops) -> SimplicialComplex:
     faces = set()
     for top in tops:
         sub = top
@@ -122,6 +156,11 @@ def upper_koszul(gens, b: Monomial) -> SimplicialComplex:
                 break
             sub = (sub - 1) & top
     return SimplicialComplex(frozenset(faces))
+
+
+def upper_koszul(gens, b: Monomial) -> SimplicialComplex:
+    """Squarefree t with x^b / x^t in the ideal of gens, as a union of simplices."""
+    return _union_of_simplices(_tops(_generator_masks(gens, b.n), b.exps))
 
 
 def betti_via_koszul(
@@ -139,10 +178,16 @@ def betti_via_koszul(
     else:
         degrees = sorted(degrees, key=canonical_key)
     table: dict[tuple[int, Monomial], int] = {}
+    if not gens:
+        return table  # every K^b is void
+    below = _generator_masks(gens, gens[0].n)
     for b in degrees:
-        dims = simplicial_homology(upper_koszul(gens, b), fld)
+        tops = _tops(below, b.exps)
+        if len(tops) == 1:
+            dims = _full_simplex_homology(tops[0])
+        else:
+            dims = simplicial_homology(_union_of_simplices(tops), fld)
         for pos_in_tuple, h in enumerate(dims):
             if h:
                 table[(pos_in_tuple, b)] = h  # beta_{i,b} = H_{i-1}, i = pos
     return table
-

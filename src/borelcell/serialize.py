@@ -23,6 +23,7 @@ trip is the identity on cells and signs.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _string
 
 from .complexes import LabeledComplex, _order
 from .monomials import parse_monomial
@@ -57,8 +58,33 @@ def complex_to_dict(X: LabeledComplex) -> dict:
     }
 
 
+def _array(items, pad: str) -> str:
+    """Rendered items as json.dumps(indent=2) lays out a list that opens on
+    a line indented by pad."""
+    inner = f",\n{pad}  ".join(items)
+    return f"[\n{pad}  {inner}\n{pad}]" if items else "[]"
+
+
 def dumps(X: LabeledComplex) -> str:
-    return json.dumps(complex_to_dict(X), indent=2) + "\n"
+    """json.dumps(complex_to_dict(X), indent=2) and a newline, written
+    directly: an indent makes json fall back to its pure-Python encoder."""
+    vertices = [
+        f'{{\n      "id": {i},\n      "label": {_string(v.canonical())}\n    }}'
+        for i, v in enumerate(X.vertex_labels)
+    ]
+    cells = []
+    for c in X.cells:
+        vs = _array([str(v) for v in c.vertices], "      ")
+        pairs = [f"[\n          {f},\n          {s}\n        ]" for f, s in c.facets]
+        cells.append(
+            f'{{\n      "id": {c.id},\n      "dim": {c.dim},\n      "vertices": {vs},\n'
+            f'      "label": {_string(c.label.canonical())},\n'
+            f'      "facets": {_array(pairs, "      ")}\n    }}'
+        )
+    return (
+        f'{{\n  "vars": {X.n},\n  "vertices": {_array(vertices, "  ")},\n'
+        f'  "cells": {_array(cells, "  ")}\n}}\n'
+    )
 
 
 def export_json(X: LabeledComplex, path: str) -> None:

@@ -210,20 +210,41 @@ small_borel = st.integers(2, 4).flatmap(
     )
 )
 
+
+def monomials(n, top):
+    """Monomials in n variables with every exponent at most top."""
+    return st.lists(st.integers(0, top), min_size=n, max_size=n).map(
+        lambda e: Monomial(tuple(e))
+    )
+
+
 # mixed-degree generators and any degree b, in or out of the lattice
 gens_and_degree = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.lists(monomials(n, 2), max_size=4), monomials(n, 3))
+)
+# the same generators with several such degrees
+gens_and_degrees = st.integers(1, 4).flatmap(
     lambda n: st.tuples(
-        st.lists(
-            st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
-                lambda e: Monomial(tuple(e))
-            ),
-            max_size=4,
-        ),
-        st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
-            lambda e: Monomial(tuple(e))
-        ),
+        st.lists(monomials(n, 2), max_size=4),
+        st.lists(monomials(n, 3), min_size=1, max_size=5),
     )
 )
+# a Borel ideal's generators with its lattice degrees and up to 3 others
+borel_and_padding = small_borel.flatmap(
+    lambda I: st.tuples(
+        st.just(list(I.expanded)), st.lists(monomials(I.n, 4), max_size=3)
+    )
+).map(lambda t: (t[0], [*build_lattice(t[0]).sorted_elements, *t[1]]))
+
+
+def reference_betti(gens, degrees, fld):
+    """beta_{i,b} = H_{i-1}(K^b), degree by degree, from the references."""
+    table = {}
+    for b in degrees:
+        for i, h in enumerate(dense_homology(subset_upper_koszul(gens, b), fld)):
+            if h:
+                table[(i, b)] = h
+    return table
 
 
 class TestAgainstReferences:
@@ -257,6 +278,17 @@ class TestAgainstReferences:
             for fld in FIELDS:
                 assert simplicial_homology(X, fld) == dense_homology(faces, fld), b
 
+    @given(st.one_of(gens_and_degrees, borel_and_padding))
+    @example(([], [m("a")]))
+    @example(([m("a"), m("b")], [m("a"), m("ab"), m("a^2*b"), m("c")]))
+    @settings(max_examples=80, deadline=None)
+    def test_betti_matches_the_per_degree_references(self, case):
+        gens, degrees = case
+        for fld in FIELDS:
+            assert betti_via_koszul(gens, degrees, fld) == reference_betti(
+                gens, degrees, fld
+            )
+
     def test_only_a_full_simplex_skips_the_ranks(self, monkeypatch):
         calls = []
         rank = Field.rank
@@ -268,6 +300,21 @@ class TestAgainstReferences:
         assert not calls
         assert simplicial_homology(SimplicialComplex.from_faces(HOLLOW), Q) == (0, 0, 1)
         assert len(calls) == 2
+        # in the Betti route a full simplex builds no face set either
+        built = []
+        check = SimplicialComplex.__post_init__
+        monkeypatch.setattr(
+            SimplicialComplex, "__post_init__", lambda K: built.append(K) or check(K)
+        )
+        calls.clear()
+        # K^a is {empty face}; K^{a^2 b} is the full simplex on {1, 2}, since
+        # S_a = {1, 2} holds S_b = {1}
+        gens = [m("a"), m("b")]
+        assert betti_via_koszul(gens, [m("a"), m("a^2*b")]) == {(0, m("a")): 1}
+        assert not calls and not built
+        # K^{ab} is two points, S_a = {2} and S_b = {1}: ranked
+        assert betti_via_koszul(gens, [m("ab")]) == {(1, m("ab")): 1}
+        assert calls and built
 
     def test_face_masks_are_checked(self):
         with pytest.raises(ValueError, match="bitmask"):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -96,6 +97,26 @@ class TestChainComplex:
         )
         with pytest.raises(ValueError, match="does not divide"):
             chain_complex(SimpleNamespace(cells=cells, dim=1))
+        # verify checks the same divisibility on its facet lists
+        stub = SimpleNamespace(cells=cells, vertex_labels=(m("a"), m("b")), n=3)
+        with pytest.raises(ValueError, match="does not divide"):
+            verify_resolution(stub, expand_principal(m("b")))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_verify_fails_a_flipped_facet_sign(self, dim):
+        # one flip in one cell, which no LabeledComplex would accept; the
+        # facet-list kernel must see the nonzero square
+        X = power_complex(3, VarRange(1, 3), 2)
+        cells = list(X.cells)
+        c = next(c for c in cells if c.dim == dim)
+        (fid, sign), *rest = c.facets
+        cells[c.id] = replace(c, facets=((fid, -sign), *rest))
+        stub = SimpleNamespace(cells=tuple(cells), vertex_labels=X.vertex_labels, n=X.n)
+        I = expand_principal(m("c^2"))
+        assert verify_resolution(X, I).checks[0].status == "pass"
+        assert verify_resolution(stub, I).checks[0].as_dict() == {
+            "name": "boundary_squared_zero", "status": "fail"
+        }
 
 
 class TestRankShape:

@@ -1,16 +1,33 @@
 import copy
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from borelcell.builders import power_complex, principal_complex
-from borelcell.monomials import VarRange, parse_monomial, rlex_cmp
+from borelcell.borel import BorelIdeal
+from borelcell.builders import borel_complex, power_complex, principal_complex
+from borelcell.complexes import LabeledComplex
+from borelcell.monomials import VarRange, monomials_of_degree, parse_monomial, rlex_cmp
 from borelcell.serialize import (
     complex_to_dict,
     dict_to_complex,
     dumps,
     export_json,
     import_json,
+)
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = sorted(DATA.glob("complex_*.json"))
+
+# Borel complexes in at most 4 variables, degree at most 3
+small_borel = st.integers(2, 4).flatmap(
+    lambda n: st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.sampled_from(list(monomials_of_degree(n, d))), min_size=1, max_size=3
+        ).map(lambda gens: borel_complex(BorelIdeal.from_borel_gens(n, gens)))
+    )
 )
 
 
@@ -70,6 +87,37 @@ class TestExport:
     def test_dumps_is_deterministic(self):
         assert dumps(p2abc()) == dumps(power_complex(3, VarRange(1, 3), 2))
         assert dumps(p2abc()).endswith("\n")
+
+
+class TestWriterLayout:
+    """dumps writes the bytes json.dumps(complex_to_dict(X), indent=2) does."""
+
+    @staticmethod
+    def reference(X):
+        return json.dumps(complex_to_dict(X), indent=2) + "\n"
+
+    @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.name)
+    def test_golden_files(self, path):
+        X = import_json(str(path))
+        assert dumps(X) == self.reference(X) == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LabeledComplex(3, {}),
+            lambda: power_complex(3, VarRange(1, 1), 1),
+            lambda: power_complex(3, VarRange(1, 3), 1),
+        ],
+        ids=["empty", "one_vertex", "triangle"],
+    )
+    def test_small_complexes(self, make):
+        X = make()
+        assert dumps(X) == self.reference(X)
+
+    @given(small_borel)
+    @settings(max_examples=25, deadline=None)
+    def test_borel_complexes(self, X):
+        assert dumps(X) == self.reference(X)
 
 
 class TestRoundTrip:
