@@ -4,8 +4,12 @@ A Borel fixed (strongly stable) monomial ideal is closed under the exchange
 moves x_t -> x_s with s < t.  For a single generator m the degree-d piece of
 the smallest such ideal containing m has an exact description by suffix
 sums: c belongs to it iff sum_{j>=i} c_j <= sum_{j>=i} m_j for every i.
-That description drives expansion, minimalization, and the closed-form
-intersection of principal pieces via the componentwise suffix minimum.
+That description drives minimalization and the closed-form intersection of
+principal pieces via the componentwise suffix minimum, and expansion
+enumerates exactly the exponent tuples under those bounds, never filtering
+all monomials of degree d.  Closure and Borel generators of an explicit set
+are read off its exponent tuples with adjacent moves x_{i+1} -> x_i alone:
+every move x_t -> x_s is a chain of them.
 """
 from __future__ import annotations
 
@@ -51,9 +55,18 @@ def in_principal(c: Monomial, m: Monomial) -> bool:
 
 
 def _expand_principal_set(m: Monomial) -> frozenset[Monomial]:
-    return frozenset(
-        c for c in monomials_of_degree(m.n, m.degree) if in_principal(c, m)
-    )
+    # choose c_n, ..., c_2 in turn, each up to s_i(m) less the exponents
+    # already chosen to its right; c_1 takes what is left of the degree
+    bound = suffix_sums(m)
+    tails = [((), 0)]
+    for b in reversed(bound[1:]):
+        tails = [((c,) + t, used + c) for t, used in tails for c in range(b - used + 1)]
+    return frozenset(Monomial((bound[0] - used,) + t) for t, used in tails)
+
+
+def _step(e: tuple[int, ...], i: int, u: int) -> tuple[int, ...]:
+    """e with u units moved from index i + 1 to index i (u = -1 moves one back)."""
+    return e[:i] + (e[i] + u, e[i + 1] - u) + e[i + 2 :]
 
 
 @dataclass(frozen=True)
@@ -91,7 +104,16 @@ class BorelIdeal:
         gens = frozenset(gens)
         if not is_borel_fixed(gens):
             raise ValueError("generating set is not closed under exchange moves")
-        ideal = cls.from_borel_gens(n, gens)
+        # in a closed set, g lies in another element's expansion iff an
+        # inverse move x_s -> x_t (s < t) of g stays in it, and then so does
+        # the adjacent one x_s -> x_{s+1}
+        pool = {g.exps for g in gens}
+        tops = [
+            Monomial(e)
+            for e in pool
+            if not any(e[s] and _step(e, s, -1) in pool for s in range(len(e) - 1))
+        ]
+        ideal = cls.from_borel_gens(n, tops)
         if ideal.expanded != gens:
             raise ValueError("Borel expansion does not reproduce the generating set")
         return ideal
@@ -112,20 +134,14 @@ def expand_principal(m: Monomial) -> BorelIdeal:
 
 def is_borel_fixed(gens) -> bool:
     """True iff the equal-degree monomial set is closed under exchange moves."""
-    pool = frozenset(gens)
+    pool = {g.exps for g in gens}
     if not pool:
         raise ValueError("need at least one generator")
-    degs = {g.degree for g in pool}
-    if len(degs) > 1:
+    if len({sum(e) for e in pool}) > 1:
         raise ValueError("closure test needs equal degrees")
-    for m in pool:
-        for t in range(2, m.n + 1):
-            if m.exps[t - 1] == 0:
-                continue
-            for s in range(1, t):
-                if m.borel_move(t, s) not in pool:
-                    return False
-    return True
+    return all(
+        _step(e, i, 1) in pool for e in pool for i in range(len(e) - 1) if e[i + 1]
+    )
 
 
 def borel_minimalize(ms) -> list[Monomial]:

@@ -17,10 +17,15 @@ identical tasks yield byte-identical artifacts, for any --jobs value.
 
 Letters a..d are accepted for x1..x4 on input; JSON always uses the x<i>
 spelling.
+
+The argument parser is built once per process, on the first call of main,
+and reused by later calls; the environment ($BORELCELL_FIELD) is still read
+on every call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -340,6 +345,7 @@ def _add_field_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="borelcell",
@@ -405,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         # each subcommand sets the flags it has
         ns.field = Field.parse(

@@ -63,6 +63,7 @@ fallback   an atom (one vertex, nothing below it), a degree whose lower
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import le
 
 from .borel import BorelIdeal
 from .complexes import LabeledComplex, _bits
@@ -101,8 +102,9 @@ def chain_complex(X: LabeledComplex) -> ChainComplex:
     """The differential of X; every facet label must divide its cell label."""
     cells = X.cells
     for c in cells:
+        top = c.label.exps
         for fid, _ in c.facets:
-            if not cells[fid].label.divides(c.label):
+            if not all(map(le, cells[fid].label.exps, top)):
                 raise ValueError(
                     f"facet label {cells[fid].label} does not divide cell label {c.label}"
                 )

@@ -26,7 +26,7 @@ import json
 from json.encoder import encode_basestring_ascii as _string
 
 from .complexes import LabeledComplex, _order
-from .monomials import parse_monomial
+from .monomials import Monomial, parse_monomial
 
 __all__ = [
     "complex_to_dict",
@@ -198,7 +198,9 @@ def dict_to_complex(data: dict) -> LabeledComplex:
         raise _invalid(exc) from exc
     labels = X._label_exps
     for rec in recs:
-        if _parse_label(rec["label"], n).exps != labels[keys[rec["id"]]]:
+        # a canonically spelled label needs no parse
+        e, text = labels[keys[rec["id"]]], rec["label"]
+        if text != Monomial(e).canonical() and _parse_label(text, n).exps != e:
             raise _invalid("cell label is the lcm of its vertices")
     return X
 

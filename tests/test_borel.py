@@ -106,6 +106,69 @@ class TestExpandPrincipal:
         assert expand_principal(mono).expanded == move_closure(mono)
 
 
+def filtered_expansion(g):
+    """The filter the enumeration replaced: every degree-d monomial, tested."""
+    return frozenset(c for c in monomials_of_degree(g.n, g.degree) if in_principal(c, g))
+
+
+def closed_under_every_move(pool):
+    """Reference closure test: every move x_t -> x_s, s < t, of every element."""
+    return all(
+        g.borel_move(t, s) in pool
+        for g in pool
+        for t in range(2, g.n + 1)
+        if g.exps[t - 1]
+        for s in range(1, t)
+    )
+
+
+def all_borel_ideals(n, d):
+    """Every Borel fixed set of degree-d monomials, as unions of principal pieces."""
+    pieces = {move_closure(g) for g in monomials_of_degree(n, d)}
+    found, frontier = set(pieces), list(pieces)
+    while frontier:
+        cur = frontier.pop()
+        for piece in pieces:
+            if not piece <= cur and cur | piece not in found:
+                found.add(cur | piece)
+                frontier.append(cur | piece)
+    return sorted(found, key=lambda S: sorted(canonical_key(g) for g in S))
+
+
+class TestExponentTuplePaths:
+    """The tuple-based expansion, closure test and generator search against
+    the paths they replaced."""
+
+    def test_expansion_matches_the_filter(self):
+        for n in range(1, 6):
+            for d in range(6):
+                for g in monomials_of_degree(n, d):
+                    assert borel._expand_principal_set(g) == filtered_expansion(g), g
+
+    @pytest.mark.parametrize("n, d, count", [(3, 3, 15), (4, 3, 65), (3, 5, 63)])
+    def test_every_borel_ideal(self, n, d, count):
+        ideals = all_borel_ideals(n, d)
+        assert len(ideals) == count
+        for S in ideals:
+            assert is_borel_fixed(S) and closed_under_every_move(S)
+            I = BorelIdeal.from_expanded(n, S)
+            assert I.expanded == S
+            assert list(I.borel_gens) == borel_minimalize(S)
+            for g in S:
+                rest = S - {g}
+                if not rest:
+                    with pytest.raises(ValueError):
+                        is_borel_fixed(rest)
+                    continue
+                # dropping a Borel generator leaves a closed set; dropping
+                # anything a move reaches must be rejected
+                closed = g in I.borel_gens
+                assert is_borel_fixed(rest) == closed_under_every_move(rest) == closed
+                if not closed:
+                    with pytest.raises(ValueError, match="not closed"):
+                        BorelIdeal.from_expanded(n, rest)
+
+
 class TestIsBorelFixed:
     def test_closed_set(self):
         assert is_borel_fixed(expand_principal(m("bc")).expanded)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from borelcell import cli
 from borelcell.builders import induced_complex, principal_complex
 from borelcell.cli import main
 from borelcell.complexes import LabeledComplex, simplex
@@ -565,6 +567,49 @@ class TestParser:
     def test_vars_must_be_at_least_one(self, capsys):
         rc, out, err = run(capsys, "gen", "--vars", "0", "--borel", "a")
         assert (rc, out, err) == (2, "", "error: --vars must be at least 1\n")
+
+
+class TestParserReuse:
+    """main builds one parser per process; no call leaks into the next."""
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        # every build adds the subcommands exactly once
+        built = []
+        real = argparse.ArgumentParser.add_subparsers
+
+        def counting(self, **kwargs):
+            built.append(self.prog)
+            return real(self, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        cli.build_parser.cache_clear()
+        assert run(capsys, "gen", "--vars", "3", "--borel", "bc")[0] == 0
+        assert run(capsys, "gen", "--vars", "3", "--borel", "ab")[0] == 0
+        assert built == ["borelcell"]
+
+    def test_calls_in_sequence_stay_independent(self, capsys, tmp_path, monkeypatch):
+        parser = cli.build_parser()
+        path = TestVerify().write_q(tmp_path)
+        report = tmp_path / "r.json"
+        assert run(capsys, "verify", "--in", str(path), "--report", str(report))[0] == 0
+        report.unlink()
+        assert run(capsys, "verify", "--in", str(path))[0] == 0
+        assert not report.exists()
+
+        monkeypatch.setenv("BORELCELL_FIELD", "p:7")
+        assert "field: p:7\n" in run(capsys, "verify", "--in", str(path))[1]
+        monkeypatch.setenv("BORELCELL_FIELD", "p:5")
+        assert "field: p:5\n" in run(capsys, "verify", "--in", str(path))[1]
+        monkeypatch.delenv("BORELCELL_FIELD")
+
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--in", str(path), "--jobs", "two"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        first = run(capsys, "betti", "--vars", "3", "--borel", "bc")
+        assert first[0] == 0 and first[1].endswith("agree: yes\n")
+        assert run(capsys, "betti", "--vars", "3", "--borel", "bc") == first
+        assert cli.build_parser() is parser
 
 
 class TestModuleEntryPoint:

@@ -205,6 +205,21 @@ class TestImportValidation:
         data["vertices"][0]["label"] = "x1^"
         reject(data, "bad factor 'x1^'")
 
+    @pytest.mark.parametrize("spelling", ["x2*x1", "a*b"])
+    def test_respelled_cell_label_imports(self, spelling):
+        # labels are compared by text first; another spelling is parsed
+        X = power_complex(2, VarRange(1, 2), 1)
+        data = complex_to_dict(X)
+        assert data["cells"][-1]["label"] == "x1*x2"
+        data["cells"][-1]["label"] = spelling
+        Y = dict_to_complex(data)
+        assert Y == X and Y.cells == X.cells
+
+    def test_malformed_cell_label(self):
+        data = complex_to_dict(power_complex(2, VarRange(1, 2), 1))
+        data["cells"][-1]["label"] = "x1^"
+        reject(data, "bad factor 'x1^'")
+
     def test_cell_label_outside_the_ambient(self):
         data = self.base()
         data["cells"][-1]["label"] = "x9"
