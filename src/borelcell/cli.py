@@ -211,6 +211,7 @@ def _run_betti(ns: argparse.Namespace) -> int:
     method = ns.method or "all"
     wanted = ["cellular", "koszul", "ek"] if method == "all" else [method]
     vals: dict[str, tuple[int, ...]] = {}
+    degrees = None  # the lattice degrees, once the cellular check built them
     if "cellular" in wanted:
         X = borel_complex(I)
         report = verify_resolution(X, I, ns.field)
@@ -221,8 +222,9 @@ def _run_betti(ns: argparse.Namespace) -> int:
             print("cellular method: complex is not minimal")
             return 1
         vals["cellular"] = betti_totals(betti_from_cells(X, report))
+        degrees = report.degrees
     if "koszul" in wanted:
-        vals["koszul"] = betti_totals(betti_via_koszul(I.expanded, None, ns.field))
+        vals["koszul"] = betti_totals(betti_via_koszul(I.expanded, degrees, ns.field))
     if "ek" in wanted:
         vals["ek"] = eliahou_kervaire_betti(I)
 

@@ -38,7 +38,7 @@ from functools import cached_property
 from operator import add, le
 from types import MappingProxyType
 
-from .monomials import Monomial
+from .monomials import Monomial, _bits, _exps_key
 
 __all__ = [
     "Cell",
@@ -63,21 +63,6 @@ class Cell:
     facets: tuple[tuple[int, int], ...]
 
 
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _order(exps: tuple[int, ...]) -> tuple:
-    """`monomials.canonical_key` on an exponent tuple."""
-    return (sum(exps), exps[::-1])
-
-
 class LabeledComplex:
     """A monomial-labeled regular cell complex.
 
@@ -95,7 +80,7 @@ class LabeledComplex:
                 raise ValueError("faces must be nonempty frozensets of monomials")
             if any(not isinstance(v, Monomial) or v.n != n for v in f):
                 raise ValueError("face vertices must be monomials in the ambient ring")
-        verts = sorted({v.exps for f in faces for v in f}, key=_order)
+        verts = sorted({v.exps for f in faces for v in f}, key=_exps_key)
         vid = {e: i for i, e in enumerate(verts)}
         mask = {f: sum(1 << vid[v.exps] for v in f) for f in faces}
         if signs is not None:
@@ -326,7 +311,7 @@ def simplex(labels) -> LabeledComplex:
     n = labels[0].n
     if any(not isinstance(v, Monomial) or v.n != n for v in labels):
         raise ValueError("face vertices must be monomials in the ambient ring")
-    verts = sorted({v.exps for v in labels}, key=_order)
+    verts = sorted({v.exps for v in labels}, key=_exps_key)
     if len(verts) != len(labels):
         raise ValueError("simplex vertex labels must be distinct")
     faces = {f: f.bit_count() - 1 for f in range(1, 1 << len(verts))}
@@ -342,7 +327,7 @@ def product(X: LabeledComplex, Y: LabeledComplex) -> LabeledComplex:
     if X.n != Y.n:
         raise ValueError("ambient mismatch")
     prods = [[tuple(map(add, a, b)) for b in Y._verts] for a in X._verts]
-    verts = sorted({p for row in prods for p in row}, key=_order)
+    verts = sorted({p for row in prods for p in row}, key=_exps_key)
     if len(verts) != len(X._verts) * len(Y._verts):
         raise ValueError("vertex-label products collide; product is undefined")
     vid = {p: i for i, p in enumerate(verts)}
@@ -377,7 +362,7 @@ def union(X: LabeledComplex, *others: LabeledComplex) -> LabeledComplex:
     pieces = (X, *others)
     if any(Y.n != X.n for Y in others):
         raise ValueError("ambient mismatch")
-    verts = tuple(sorted(set().union(*(Y._verts for Y in pieces)), key=_order))
+    verts = tuple(sorted(set().union(*(Y._verts for Y in pieces)), key=_exps_key))
     faces: dict[int, int] = {}
     for Y in pieces:
         for f, d in _renumber(Y, verts, Y._dims).items():

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
 from operator import and_, or_
 
 from .exact import Field
 from .lattice import build_lattice
-from .monomials import Monomial, canonical_key
+from .monomials import Monomial, _below_masks, _bits, _exps_key
 
 __all__ = [
     "SimplicialComplex",
@@ -34,11 +33,6 @@ __all__ = [
     "upper_koszul",
     "betti_via_koszul",
 ]
-
-
-def _bits(f: int) -> list[int]:
-    """Positions of the set bits, ascending."""
-    return [i for i in range(f.bit_length()) if f >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -56,12 +50,8 @@ class SimplicialComplex:
         for f in self.masks:
             if type(f) is not int or f < 0:
                 raise ValueError(f"a face must be a non-negative bitmask: {f!r}")
-            rest = f
-            while rest:
-                low = rest & -rest
-                if f ^ low not in self.masks:
-                    raise ValueError("face family is not downward closed")
-                rest ^= low
+            if any(f ^ (1 << i) not in self.masks for i in _bits(f)):
+                raise ValueError("face family is not downward closed")
 
     @classmethod
     def from_faces(cls, faces) -> "SimplicialComplex":
@@ -111,21 +101,6 @@ def simplicial_homology(K: SimplicialComplex, fld: Field) -> tuple[int, ...]:
     return tuple(len(b) - ranks[d] - ranks[d + 1] for d, b in enumerate(by_dim))
 
 
-def _generator_masks(gens, n: int) -> list[list[int]]:
-    """below[v][k]: the generators with exponent at most k in variable v,
-    for k up to the largest such exponent."""
-    exps = [g.exps for g in gens]
-    if any(len(e) != n for e in exps):
-        raise ValueError("ambient mismatch")
-    below = []
-    for v in range(n):
-        masks = [0] * (max((e[v] for e in exps), default=0) + 1)
-        for j, e in enumerate(exps):
-            masks[e[v]] |= 1 << j
-        below.append(list(accumulate(masks, or_)))
-    return below
-
-
 def _tops(below: list[list[int]], bx: tuple[int, ...]) -> list[int]:
     """The distinct S_g of the generators dividing x^b: [] when K^b is void,
     just [U] when K^b is the full simplex on U (module docstring)."""
@@ -160,7 +135,8 @@ def _union_of_simplices(tops) -> SimplicialComplex:
 
 def upper_koszul(gens, b: Monomial) -> SimplicialComplex:
     """Squarefree t with x^b / x^t in the ideal of gens, as a union of simplices."""
-    return _union_of_simplices(_tops(_generator_masks(gens, b.n), b.exps))
+    below = _below_masks([g.exps for g in gens], b.n)
+    return _union_of_simplices(_tops(below, b.exps))
 
 
 def betti_via_koszul(
@@ -168,26 +144,27 @@ def betti_via_koszul(
 ) -> dict[tuple[int, Monomial], int]:
     """Graded Betti numbers from upper Koszul homology.
 
-    degrees defaults to the lcm lattice above the bottom, which carries all
-    of the support; any superset gives the same nonzero table.
+    degrees are exponent tuples and default to the lcm lattice above the
+    bottom, which carries all of the support; any superset gives the same
+    nonzero table.
     """
     gens = list(gens)
     if degrees is None:
         # the unit is the only degree-0 element, so it sorts first
-        degrees = build_lattice(gens).sorted_elements[1:]
+        degrees = build_lattice(gens).exps[1:]
     else:
-        degrees = sorted(degrees, key=canonical_key)
+        degrees = sorted(degrees, key=_exps_key)
     table: dict[tuple[int, Monomial], int] = {}
     if not gens:
         return table  # every K^b is void
-    below = _generator_masks(gens, gens[0].n)
+    below = _below_masks([g.exps for g in gens], gens[0].n)
     for b in degrees:
-        tops = _tops(below, b.exps)
+        tops = _tops(below, b)
         if len(tops) == 1:
             dims = _full_simplex_homology(tops[0])
         else:
             dims = simplicial_homology(_union_of_simplices(tops), fld)
-        for pos_in_tuple, h in enumerate(dims):
-            if h:
-                table[(pos_in_tuple, b)] = h  # beta_{i,b} = H_{i-1}, i = pos
+        if any(dims):  # beta_{i,b} = H_{i-1}, i = the position in dims
+            mb = Monomial(b)
+            table.update({(i, mb): h for i, h in enumerate(dims) if h})
     return table

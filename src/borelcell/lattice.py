@@ -4,7 +4,9 @@ Elements are the unit (bottom) together with the lcms of all nonempty sets
 of minimal generators, ordered by divisibility.  One closure over exponent
 tuples serves both input kinds: a BorelIdeal contributes its expanded
 generators, which go through the same checks and minimalization as a
-generator list, and each element becomes a Monomial once, at the end.
+generator list.  The lattice keeps its elements as canonically sorted
+exponent tuples, which `verify` and the Koszul oracle read; `elements`,
+`sorted_elements` and `covers` are Monomial views, built on first use.
 Covers are computed from atom joins: the elements covering m are the
 divisibility-minimal members of {lcm(m, a) : a an atom, lcm(m, a) != m}.
 
@@ -31,6 +33,7 @@ from operator import le
 from .borel import BorelIdeal
 from .monomials import (
     Monomial,
+    _exps_key,
     canonical_key,
     lcm_many,
     minimal_under_divisibility,
@@ -49,15 +52,15 @@ __all__ = [
 ]
 
 
-class ChainBudgetExceeded(RuntimeError):
-    pass
+class ChainBudgetExceeded(ValueError):
+    """Too much input for an enumeration budget; the CLI exits 2 on it."""
 
 
 @dataclass(frozen=True)
 class LcmLattice:
     n: int
     atoms: tuple[Monomial, ...]
-    elements: frozenset[Monomial]
+    exps: tuple[tuple[int, ...], ...]  # canonically sorted, the bottom first
 
     @property
     def bottom(self) -> Monomial:
@@ -71,27 +74,31 @@ class LcmLattice:
         return m in self.elements
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.exps)
 
     @cached_property
     def sorted_elements(self) -> tuple[Monomial, ...]:
-        return tuple(sorted(self.elements, key=canonical_key))
+        return tuple(map(Monomial, self.exps))
+
+    @cached_property
+    def elements(self) -> frozenset[Monomial]:
+        return frozenset(self.sorted_elements)
 
     @cached_property
     def covers(self):
         """Map m -> tuple of elements covering m, canonically ordered."""
-        element = {e.exps: e for e in self.elements}
+        view = dict(zip(self.exps, self.sorted_elements))
         atoms = [a.exps for a in self.atoms]
         out = {}
-        for m in self.sorted_elements:
-            joins = {tuple(map(max, m.exps, a)) for a in atoms}
-            joins.discard(m.exps)
+        for m in self.exps:
+            joins = {tuple(map(max, m, a)) for a in atoms}
+            joins.discard(m)
             # a join above another is above a minimal one of lower degree
             covs: list[tuple[int, ...]] = []
             for j in sorted(joins, key=sum):
                 if not any(all(map(le, k, j)) for k in covs):
                     covs.append(j)
-            out[m] = tuple(sorted((element[j] for j in covs), key=canonical_key))
+            out[view[m]] = tuple(view[j] for j in sorted(covs, key=_exps_key))
         return out
 
     def interval(self, lo: Monomial, hi: Monomial) -> tuple[Monomial, ...]:
@@ -121,9 +128,7 @@ def build_lattice(gens) -> LcmLattice:
     for a in (a.exps for a in atoms):
         # joins of the atom sets whose last atom is a (the unit joins to a)
         elements |= {tuple(map(max, e, a)) for e in elements}
-    return LcmLattice(
-        n=n, atoms=atoms, elements=frozenset(map(Monomial, elements))
-    )
+    return LcmLattice(n=n, atoms=atoms, exps=tuple(sorted(elements, key=_exps_key)))
 
 
 @dataclass(frozen=True)

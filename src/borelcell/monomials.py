@@ -4,12 +4,20 @@ Monomials are exponent vectors.  Besides products, lcm and divisibility,
 this module provides the two pieces of structure everything else is built
 on: the exchange move x_t -> x_s (s < t) that defines Borel fixed ideals,
 and the right-lex comparison used to order monomials of equal degree.
+
+Inside the pipeline a monomial is its exponent tuple, and a `Monomial` is
+built, and validated, only where the API returns one.  This module owns
+the tuple helpers: the canonical sort key `_exps_key`, the text form
+`_exps_text`, the set-bit positions `_bits` of a mask and the per-variable
+"exponent <= k" masks `_below_masks`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
+from operator import or_
 
 __all__ = [
     "Monomial",
@@ -29,6 +37,45 @@ __all__ = [
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _FACTOR_RE = re.compile(r"(?:x([0-9]+)|([a-z]))(?:\^([0-9]+))?")
+
+
+def _exps_key(e: tuple[int, ...]) -> tuple:
+    """`canonical_key` on an exponent tuple."""
+    return (sum(e), e[::-1])
+
+
+def _exps_text(e: tuple[int, ...], letters: bool = False) -> str:
+    """Text form of an exponent tuple: x1^2*x3, or a^2*c with letters."""
+    parts = []
+    for i, k in enumerate(e):
+        if k:
+            name = _LETTERS[i] if letters else f"x{i + 1}"
+            parts.append(name if k == 1 else f"{name}^{k}")
+    return "*".join(parts) or "1"
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _below_masks(rows, n: int) -> list[list[int]]:
+    """below[v][k]: bit j set iff rows[j] has exponent at most k in variable
+    v, for k up to the largest exponent of v in rows."""
+    if any(len(e) != n for e in rows):
+        raise ValueError("ambient mismatch")
+    below = []
+    for v in range(n):
+        masks = [0] * (max((e[v] for e in rows), default=0) + 1)
+        for j, e in enumerate(rows):
+            masks[e[v]] |= 1 << j
+        below.append(list(itertools.accumulate(masks, or_)))
+    return below
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,22 +140,11 @@ class Monomial:
 
     def canonical(self) -> str:
         """Canonical text form, always in x<i> notation (x1^2*x3)."""
-        return self._format(letters=False)
-
-    def _format(self, letters: bool) -> str:
-        if self.is_unit:
-            return "1"
-        parts = []
-        for i, e in enumerate(self.exps):
-            if e == 0:
-                continue
-            name = _LETTERS[i] if letters else f"x{i + 1}"
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
+        return _exps_text(self.exps)
 
     def __str__(self) -> str:
         # letters match the usual small-case notation, x<i> beyond four vars
-        return self._format(letters=self.n <= 4)
+        return _exps_text(self.exps, letters=self.n <= 4)
 
     def __repr__(self) -> str:
         return f"Monomial({self.exps!r})"
@@ -153,10 +189,7 @@ def lcm_many(ms) -> Monomial:
     ms = list(ms)
     if not ms:
         raise ValueError("lcm of no monomials is undefined without an ambient")
-    out = ms[0]
-    for m in ms[1:]:
-        out = lcm(out, m)
-    return out
+    return functools.reduce(lcm, ms)
 
 
 def suffix_sums(m: Monomial) -> tuple[int, ...]:
@@ -176,7 +209,7 @@ def rlex_key(m: Monomial) -> tuple[int, ...]:
 
 def canonical_key(m: Monomial) -> tuple:
     """Total order across degrees: by degree, then rlex-descending within a degree."""
-    return (m.degree, rlex_key(m))
+    return _exps_key(m.exps)
 
 
 def rlex_cmp(a: Monomial, b: Monomial) -> int:

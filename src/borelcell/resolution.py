@@ -66,10 +66,10 @@ from dataclasses import dataclass, field
 from operator import le
 
 from .borel import BorelIdeal
-from .complexes import LabeledComplex, _bits
+from .complexes import LabeledComplex
 from .exact import Field
 from .lattice import build_lattice
-from .monomials import Monomial
+from .monomials import Monomial, _below_masks, _bits, _exps_text
 
 __all__ = [
     "ChainComplex",
@@ -170,6 +170,7 @@ class ResolutionReport:
     field: str
     checks: tuple[CheckResult, ...]
     subject: LabeledComplex | None = field(default=None, compare=False, repr=False)
+    degrees: tuple = field(default=(), compare=False, repr=False)  # exponent tuples
 
     def as_dict(self) -> dict:
         return {
@@ -192,26 +193,19 @@ def _acyclicity_checks(
         for fid in fids:
             comask[fid] |= 1 << i
     # below[v][k]: cells whose label has exponent at most k in variable v
-    below = []
-    for v in range(X.n):
-        masks = [0] * (max(c.label.exps[v] for c in cells) + 1)
-        for c in cells:
-            masks[c.label.exps[v]] |= 1 << c.id
-        for k in range(1, len(masks)):
-            masks[k] |= masks[k - 1]
-        below.append(masks)
+    below = _below_masks([c.label.exps for c in cells], X.n)
 
     everything = (1 << len(cells)) - 1
     passed: set[int] = set()  # selections certified acyclic
     checks = []
     for b in degrees:
         live = everything
-        for masks, e in zip(below, b.exps):
+        for masks, e in zip(below, b):
             if e < len(masks) - 1:
                 live &= masks[e]
         # X_{<=a} for a lower cover a of b, decided earlier in degree order
         lower = max(
-            (live & masks[e - 1] for masks, e in zip(below, b.exps) if e),
+            (live & masks[e - 1] for masks, e in zip(below, b) if e),
             default=0,
         )
         if lower in passed and _collapse(live, lower, comask, facets) == lower:
@@ -237,7 +231,7 @@ def _acyclicity_checks(
             CheckResult(
                 name="acyclic",
                 status="pass" if ok else "fail",
-                degree=b.canonical(),
+                degree=_exps_text(b),
                 witness=witness,
             )
         )
@@ -300,7 +294,8 @@ def verify_resolution(
     has zero reduced homology.  Degrees are checked serially in a fixed
     order.
     """
-    if set(X.vertex_labels) != set(I.expanded):
+    # the 0-cells carry the vertex labels, already built
+    if {c.label for c in X.cells if not c.dim} != I.expanded:
         raise ValueError("vertex labels differ from the minimal generators")
     C = chain_complex(X)
     checks = [
@@ -310,10 +305,12 @@ def verify_resolution(
         )
     ]
     # the unit is the only degree-0 element, so it sorts first
-    degrees = build_lattice(I).sorted_elements[1:]
+    degrees = build_lattice(I).exps[1:]
     checks += _acyclicity_checks(X, C, fld, degrees)
     ok = all(c.status == "pass" for c in checks)
-    return ResolutionReport(ok=ok, field=str(fld), checks=tuple(checks), subject=X)
+    return ResolutionReport(
+        ok=ok, field=str(fld), checks=tuple(checks), subject=X, degrees=degrees
+    )
 
 
 def check_minimal(X: LabeledComplex) -> bool:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _string
 
-from .complexes import LabeledComplex, _order
-from .monomials import Monomial, parse_monomial
+from .complexes import LabeledComplex
+from .monomials import _exps_key, _exps_text, parse_monomial
 
 __all__ = [
     "complex_to_dict",
@@ -39,9 +39,7 @@ __all__ = [
 
 def complex_to_dict(X: LabeledComplex) -> dict:
     cells = X.cells
-    vertices = [
-        {"id": i, "label": v.canonical()} for i, v in enumerate(X.vertex_labels)
-    ]
+    vertices = [{"id": i, "label": _exps_text(v)} for i, v in enumerate(X._verts)]
     return {
         "vars": X.n,
         "vertices": vertices,
@@ -69,8 +67,8 @@ def dumps(X: LabeledComplex) -> str:
     """json.dumps(complex_to_dict(X), indent=2) and a newline, written
     directly: an indent makes json fall back to its pure-Python encoder."""
     vertices = [
-        f'{{\n      "id": {i},\n      "label": {_string(v.canonical())}\n    }}'
-        for i, v in enumerate(X.vertex_labels)
+        f'{{\n      "id": {i},\n      "label": {_string(_exps_text(v))}\n    }}'
+        for i, v in enumerate(X._verts)
     ]
     cells = []
     for c in X.cells:
@@ -132,7 +130,7 @@ def dict_to_complex(data: dict) -> LabeledComplex:
         if not isinstance(rec["label"], str):
             raise _invalid("labels are strings")
         vlabels[vid] = _parse_label(rec["label"], n).exps
-    verts = sorted(vlabels.values(), key=_order)
+    verts = sorted(vlabels.values(), key=_exps_key)
     pos = {e: i for i, e in enumerate(verts)}
     if len(pos) != len(verts):
         raise _invalid("vertex labels distinct")
@@ -200,7 +198,7 @@ def dict_to_complex(data: dict) -> LabeledComplex:
     for rec in recs:
         # a canonically spelled label needs no parse
         e, text = labels[keys[rec["id"]]], rec["label"]
-        if text != Monomial(e).canonical() and _parse_label(text, n).exps != e:
+        if text != _exps_text(e) and _parse_label(text, n).exps != e:
             raise _invalid("cell label is the lcm of its vertices")
     return X
 

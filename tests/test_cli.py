@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from borelcell import cli
+from borelcell import cli, lattice
 from borelcell.builders import induced_complex, principal_complex
 from borelcell.cli import main
 from borelcell.complexes import LabeledComplex, simplex
@@ -299,6 +299,24 @@ class TestLattice:
         assert "7 maximal chains" in out
         assert "decreasing from top: 0" in out
         assert "decreasing bottom-up: 1" in out
+
+    def test_labels_over_the_chain_budget_is_an_input_error(self, capsys):
+        # [1, top] of P(4,4) has more maximal chains than the default budget
+        rc, out, err = run(
+            capsys,
+            "lattice",
+            "--vars",
+            "4",
+            "--borel",
+            "x4^4",
+            "--check",
+            "labels",
+            "--interval",
+            "1..x1^4*x2^4*x3^4*x4^4",
+        )
+        assert rc == 2
+        assert out == "atoms: 35\nelements: 591\n"
+        assert err == "error: more than 100000 maximal chains\n"
 
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "lattice.json"
@@ -610,6 +628,26 @@ class TestParserReuse:
         assert first[0] == 0 and first[1].endswith("agree: yes\n")
         assert run(capsys, "betti", "--vars", "3", "--borel", "bc") == first
         assert cli.build_parser() is parser
+
+
+class TestOneLatticePerCommand:
+    def test_betti_all_builds_the_lattice_once(self, capsys, monkeypatch):
+        # the Koszul oracle reads the degrees the cellular check decided
+        calls = []
+        real = lattice.build_lattice
+
+        def counting(gens):
+            calls.append(gens)
+            return real(gens)
+
+        # patch the name in every module that imported it
+        for name, mod in list(sys.modules.items()):
+            if name.partition(".")[0] == "borelcell":
+                if getattr(mod, "build_lattice", None) is real:
+                    monkeypatch.setattr(mod, "build_lattice", counting)
+        rc, out, _ = run(capsys, "betti", "--vars", "4", "--borel", "b*d^2")
+        assert rc == 0 and out.endswith("agree: yes\n")
+        assert len(calls) == 1
 
 
 class TestModuleEntryPoint:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from math import comb
 
@@ -7,6 +8,10 @@ from hypothesis import given, strategies as st
 from borelcell.monomials import (
     Monomial,
     VarRange,
+    _below_masks,
+    _bits,
+    _exps_key,
+    _exps_text,
     canonical_key,
     lcm,
     lcm_many,
@@ -255,3 +260,80 @@ class TestMinimalUnderDivisibility:
             assert not p.divides(q)
         for q in ms:
             assert any(p.divides(q) for p in out)
+
+
+# ---- the exponent-tuple helpers the pipeline shares
+
+exponent_rows = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple),
+            max_size=12,
+        ),
+    )
+)
+
+
+def reference_text(e, letters):
+    """The text form written out: factors x<i>^k (or letters), '1' for none."""
+    names = [chr(ord("a") + i) if letters else f"x{i + 1}" for i in range(len(e))]
+    factors = [names[i] + ("" if k == 1 else f"^{k}") for i, k in enumerate(e) if k]
+    return "*".join(factors) if factors else "1"
+
+
+class TestTupleHelpers:
+    @given(exponent_rows)
+    def test_key_orders_as_canonical_key(self, case):
+        n, rows = case
+        ms = [Monomial(e) for e in rows]
+        by_key = sorted(rows, key=_exps_key)
+        assert by_key == [q.exps for q in sorted(ms, key=canonical_key)]
+
+        # degree first, then rlex-descending, as rlex_cmp compares
+        def cmp(a, b):
+            return (a.degree > b.degree) - (a.degree < b.degree) or -rlex_cmp(a, b)
+
+        assert by_key == [q.exps for q in sorted(ms, key=functools.cmp_to_key(cmp))]
+
+    @given(exponent_rows)
+    def test_text_form(self, case):
+        n, rows = case
+        for e in [(0,) * n, *rows]:
+            q = Monomial(e)
+            assert _exps_text(e) == q.canonical() == reference_text(e, False)
+            assert _exps_text(e, letters=n <= 4) == str(q) == reference_text(e, n <= 4)
+            assert parse_monomial(_exps_text(e), n) == q
+
+    def test_text_form_examples(self):
+        assert _exps_text((2, 0, 1)) == "x1^2*x3"
+        assert _exps_text((2, 0, 1), letters=True) == "a^2*c"
+        assert str(Monomial((0, 1, 0, 0, 3))) == "x2*x5^3"
+        assert _exps_text((0, 0)) == _exps_text((0, 0), letters=True) == "1"
+
+    @given(st.integers(0, 1 << 200))
+    def test_bits_brute_force(self, mask):
+        assert _bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    @given(exponent_rows)
+    def test_below_masks_definition(self, case):
+        n, rows = case
+        below = _below_masks(rows, n)
+        assert len(below) == n
+        for v, masks in enumerate(below):
+            assert len(masks) == max((e[v] for e in rows), default=0) + 1
+            for k, mask in enumerate(masks):
+                for j, e in enumerate(rows):
+                    assert (mask >> j & 1) == (e[v] <= k)
+                assert mask < 1 << len(rows)
+
+    def test_below_masks_of_no_rows(self):
+        assert _below_masks([], 3) == [[0], [0], [0]]
+
+    @given(exponent_rows, st.integers(0, 5))
+    def test_below_masks_ambient_mismatch(self, case, extra):
+        n, rows = case
+        bad = (0,) * (n + 1 + extra)
+        for i in range(len(rows) + 1):
+            with pytest.raises(ValueError, match="ambient mismatch"):
+                _below_masks(rows[:i] + [bad] + rows[i:], n)

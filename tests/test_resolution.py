@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from borelcell import exact, resolution
 from borelcell.borel import BorelIdeal, expand_principal
 from borelcell.builders import borel_complex, power_complex, principal_complex
-from borelcell.complexes import Cell, LabeledComplex, _bits, restrict, simplex
+from borelcell.complexes import Cell, LabeledComplex, restrict, simplex
 from borelcell.exact import Field, rank_mod_p, rank_rationals
 from borelcell.lattice import build_lattice
 from borelcell.monomials import (
+    Monomial,
     VarRange,
+    _bits,
     canonical_key,
     lcm_many,
     monomials_of_degree,
@@ -209,6 +211,26 @@ class TestVerifyResolution:
         assert failing
         assert failing[0].degree == "x1*x2^2*x3"
         assert failing[0].witness["first_nonzero"] == 1
+
+    def test_already_oriented_complex_builds_no_monomial(self, monkeypatch):
+        # P(5,3): the lattice of 1,004 elements, the kernel and the degree
+        # strings run on exponent tuples; nothing is re-validated
+        X = power_complex(5, VarRange(1, 5), 3)
+        X.cells
+        I = expand_principal(m("x5^3", 5))
+        built = []
+        check = Monomial.__post_init__
+        monkeypatch.setattr(
+            Monomial, "__post_init__", lambda b: built.append(b.exps) or check(b)
+        )
+        report = verify_resolution(X, I)
+        monkeypatch.undo()
+        assert report.ok and len(report.checks) == 1 + 1003
+        assert built == []
+        # the degrees it decided, in order, for the Koszul oracle
+        degrees = [c.degree for c in report.checks[1:]]
+        assert degrees == [b.canonical() for b in build_lattice(I).sorted_elements[1:]]
+        assert report.degrees == build_lattice(I).exps[1:]
 
 
 class TestMinimality:
