@@ -72,7 +72,7 @@ class LabeledComplex:
     """
 
     def __init__(self, n: int, faces, signs=None) -> None:
-        if n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError("ambient ring needs at least one variable")
         faces = dict(faces)
         for f in faces:
@@ -101,7 +101,7 @@ class LabeledComplex:
     def _setup(self, n: int, verts: tuple, dims: dict, signs) -> None:
         points = 0
         for f, d in dims.items():
-            if not isinstance(d, int) or d < 0:
+            if type(d) is not int or d < 0:  # not bool: dumps would write True
                 raise ValueError("face dimensions must be non-negative integers")
             k = f.bit_count()
             if (k == 1) != (d == 0):
@@ -261,7 +261,7 @@ class LabeledComplex:
             missing in sg.values() for sg in sign
         ):
             raise ValueError("signs do not match the face relation")
-        if any(s not in (1, -1) for s in supplied.values()):
+        if any(type(s) is not int or s not in (1, -1) for s in supplied.values()):
             raise ValueError("signs must be +1 or -1")
         return sign
 

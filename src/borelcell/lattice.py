@@ -184,19 +184,31 @@ def is_ranked(L: LcmLattice, chain_budget: int = 500_000) -> RankedReport:
     )
 
 
+def _chain_count(L: LcmLattice, lo: Monomial, hi: Monomial) -> int:
+    """The number of maximal chains of [lo, hi], in one pass up the covers:
+    canonical order lists every element after those below it."""
+    count = dict.fromkeys(L.interval(lo, hi), 0)  # validates endpoints
+    count[lo] = 1
+    for e, k in count.items():
+        for c in L.covers[e]:
+            if c in count:
+                count[c] += k
+    return count[hi]
+
+
 def maximal_chains(
     L: LcmLattice, lo: Monomial, hi: Monomial, budget: int = 100_000
 ) -> list[tuple[Monomial, ...]]:
-    """All maximal chains of [lo, hi], each listed bottom-up."""
-    L.interval(lo, hi)  # validates endpoints
+    """All maximal chains of [lo, hi], each listed bottom-up; an interval
+    with more than `budget` of them is rejected before any is listed."""
+    if _chain_count(L, lo, hi) > budget:
+        raise ChainBudgetExceeded(f"more than {budget} maximal chains")
     out: list[tuple[Monomial, ...]] = []
     stack: list[Monomial] = [lo]
 
     def walk(cur: Monomial) -> None:
         if cur == hi:
             out.append(tuple(stack))
-            if len(out) > budget:
-                raise ChainBudgetExceeded(f"more than {budget} maximal chains")
             return
         for c in L.covers[cur]:
             if c.divides(hi):

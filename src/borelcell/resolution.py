@@ -19,46 +19,41 @@ C's columns.  homology_dims ranks the chain_complex of its argument the same
 way.
 
 verify_resolution decides every degree with one kernel over the cells of
-the already oriented complex, in three steps:
+the already oriented complex.  Degrees run in canonical order, so every
+degree below b in the lattice is decided before b, and each degree takes
+the same four steps:
 
 select     AND one "exponent <= b_v" bitmask per variable v over cell ids.
            The result is the subcomplex of cells whose label divides b; it
            is closed under faces (a face's label divides its cell's), so
            every selected cell keeps its facets, ridges and the parent's
            verified signs, and nothing needs re-orienting.
-collapse   repeatedly delete a cell with exactly one remaining coface
-           together with that coface.  In a regular complex the coface is
-           then a maximal cell (a coface of it would contain the free cell
-           as a ridge, which lies in two of its facets), so this is an
-           elementary collapse: a homotopy equivalence, and over Z a chain
-           homotopy equivalence onto the remaining subcomplex with its
-           original signs (Batzies-Welker; Kaczynski-Mischaikow-Mrozek).
-eliminate  a residue of one vertex is acyclic over every field.  Otherwise
-           the residual boundary matrices are ranked over the requested
-           field; the residue has the reduced homology of the selected
-           subcomplex, so the reported homology and witnesses are exactly
-           those of homology_dims(restrict(X, b), field).
-
-Degrees run in canonical order, so every degree below b in the lattice is
-decided before b, and after select the kernel first collapses relative to
-one of them:
-
 lower      for each v with b_v > 0, ANDing X_{<=b} with the
            "exponent <= b_v - 1" mask gives X_{<=m}, where m is the largest
            lattice element dividing b - e_v (every cell label is a lattice
            element).  Every a < b divides one such m, so the largest of
            these masks is X_{<=a} for a lower cover a of b, found without
-           computing covers.
-relative   if X_{<=a} passed, collapse only D = X_{<=b} minus X_{<=a}.
-           X_{<=a} is closed under faces, so every coface of a cell in D is
-           in D, and a collapse whose free face lies in D stays in D.  If
-           such collapses empty D, X_{<=b} collapses onto the acyclic
-           X_{<=a}, and b passes.
-fallback   an atom (one vertex, nothing below it), a degree whose lower
-           selection failed, and a degree whose relative collapse leaves
-           cells of D run collapse and eliminate on all of X_{<=b}.  The
-           relative step passes only degrees that are acyclic, so reports
-           and witnesses are exactly those of the absolute steps alone.
+           computing covers.  The base is X_{<=a} if that selection passed,
+           and the empty selection otherwise (an atom, one vertex, has
+           nothing below it).
+collapse   repeatedly delete a cell of D = X_{<=b} minus base with exactly
+           one remaining coface, together with that coface.  The base is
+           closed under faces, so every coface of a cell in D is in D.  In
+           a regular complex the coface is then a maximal cell (a coface of
+           it would contain the free cell as a ridge, which lies in two of
+           its facets), so this is an elementary collapse: a homotopy
+           equivalence, and over Z a chain homotopy equivalence onto the
+           subcomplex R = base + what is left of D, with its original signs
+           (Batzies-Welker; Kaczynski-Mischaikow-Mrozek).
+rank       if nothing of D is left, X_{<=b} collapses onto the acyclic base
+           and b passes with no rank computed.  Otherwise the boundary
+           matrices of C(R)/C(base), the cells left of D with their facet
+           entries in base dropped, are ranked over the requested field,
+           with the augmentation only when base is empty.  A nonempty base
+           is acyclic, so the long exact sequence of the pair gives
+           H_i(R, base) = H~_i(R) = H~_i(X_{<=b}) for every i: the reported
+           homology and witnesses are exactly those of
+           homology_dims(restrict(X, b), field).
 """
 from __future__ import annotations
 
@@ -141,13 +136,6 @@ def homology_dims(X: LabeledComplex, fld: Field) -> tuple[int, ...]:
     return _residual_homology(chain_complex(X), range(len(X.cells)), X.dim, fld)
 
 
-def _reduced_dims(f: list[int], ranks: list[int]) -> tuple[int, ...]:
-    """(H_{-1}, ..., H_top) of a nonempty complex from its f-vector and the
-    ranks of its boundary maps in dimensions 1..top."""
-    ranks = [1] + ranks + [0]  # the augmentation C_0 -> k has rank 1
-    return (0,) + tuple(f[i] - ranks[i] - ranks[i + 1] for i in range(len(f)))
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -183,9 +171,9 @@ class ResolutionReport:
 def _acyclicity_checks(
     X: LabeledComplex, C: ChainComplex, fld: Field, degrees
 ) -> list[CheckResult]:
-    """One check per degree of X, whose differential is C: select, then
-    collapse onto a passed lower selection, or else collapse and eliminate
-    (module docstring)."""
+    """One check per degree of X, whose differential is C: select, collapse
+    relative to a passed lower selection, rank what is left (module
+    docstring)."""
     cells = X.cells  # cell ids are positions, ordered by dimension
     facets = [[fid for fid, _ in col] for col in C.columns]
     comask = [0] * len(cells)
@@ -208,16 +196,12 @@ def _acyclicity_checks(
             (live & masks[e - 1] for masks, e in zip(below, b) if e),
             default=0,
         )
-        if lower in passed and _collapse(live, lower, comask, facets) == lower:
-            dims = ()  # collapses onto an acyclic selection: module docstring
-        else:
-            # never void: b is divisible by an atom, a vertex label of X
+        base = lower if lower in passed else 0
+        left = _collapse(live, base, comask, facets)
+        dims = ()  # nothing left: X_{<=b} collapses onto the acyclic base
+        if left:
             top = C.dims[live.bit_length() - 1]
-            residue = _collapse(live, 0, comask, facets)
-            if residue & (residue - 1) == 0:
-                dims = (0,) * (top + 2)
-            else:
-                dims = _residual_homology(C, _bits(residue), top, fld)
+            dims = _residual_homology(C, _bits(left), top, fld, base)
         ok = not any(dims)
         witness = None
         if ok:
@@ -239,15 +223,15 @@ def _acyclicity_checks(
 
 
 def _collapse(
-    live: int, lower: int, comask: list[int], facets: list[list[int]]
+    live: int, base: int, comask: list[int], facets: list[list[int]]
 ) -> int:
-    """The cells left of a face-closed selection after elementary collapses
-    whose free face lies outside its face-closed subcomplex `lower`.
+    """The cells of D = live minus base left after elementary collapses whose
+    free face lies in D; base is a face-closed subcomplex of live.
 
-    Every coface of a cell outside `lower` is outside it too, so the free
-    faces and their coface counts all live in live ^ lower.
+    Every coface of a cell outside base is outside it too, so the free
+    faces and their coface counts all live in D.
     """
-    part = live ^ lower
+    part = live ^ base
     selected = _bits(part)
     count = {i: (comask[i] & part).bit_count() for i in selected}
     free = [i for i in reversed(selected) if count[i] == 1]
@@ -262,24 +246,34 @@ def _collapse(
                 count[g] -= 1
                 if count[g] == 1:
                     free.append(g)
-    return part | lower
+    return part
 
 
-def _residual_homology(C: ChainComplex, residue, top: int, fld: Field):
-    """Reduced homology of the face-closed subcomplex on the residual cell
-    ids (collapses keep a selection face-closed), ranked densely."""
+def _residual_homology(
+    C: ChainComplex, residue, top: int, fld: Field, base: int = 0
+):
+    """(H_{-1}, ..., H_top) of R relative to base, ranked densely: R is the
+    face-closed union of the residual cell ids and base, a face-closed
+    bitmask of cell ids, and dropping facet entries in base gives
+    C(R)/C(base).  The augmentation counts only when base is empty, so by
+    default this is the reduced homology of the residue.  Empty blocks are
+    not ranked."""
     by_dim: list[list[int]] = [[] for _ in range(top + 1)]
     for i in residue:
         by_dim[C.dims[i]].append(i)
-    ranks = []
+    ranks = [0 if base else 1]  # the augmentation C_0 -> k
     for d in range(1, top + 1):
         row = {i: r for r, i in enumerate(by_dim[d - 1])}
-        mat = [[0] * len(by_dim[d]) for _ in by_dim[d - 1]]
+        mat = [[0] * len(by_dim[d]) for _ in row]
         for j, i in enumerate(by_dim[d]):
             for fid, sign in C.columns[i]:
-                mat[row[fid]][j] = sign
-        ranks.append(fld.rank(mat))
-    return _reduced_dims([len(ids) for ids in by_dim], ranks)
+                if not base >> fid & 1:
+                    mat[row[fid]][j] = sign
+        ranks.append(fld.rank(mat) if row and by_dim[d] else 0)
+    ranks.append(0)  # nothing maps onto the top cells
+    return (0,) + tuple(
+        len(ids) - ranks[i] - ranks[i + 1] for i, ids in enumerate(by_dim)
+    )
 
 
 def verify_resolution(

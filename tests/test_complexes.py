@@ -75,6 +75,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             LabeledComplex(3, faces)
 
+    def test_bool_dimension_rejected(self):
+        # True == 1 and False == 0, but dumps would write them as Python
+        # literals, which no JSON reader accepts
+        for faces in (
+            {fs("a"): False, fs("b"): 0, fs("a", "b"): 1},
+            {fs("a"): 0, fs("b"): 0, fs("a", "b"): True},
+        ):
+            with pytest.raises(ValueError, match="non-negative integers"):
+                LabeledComplex(3, faces)
+        with pytest.raises(ValueError, match="at least one variable"):
+            LabeledComplex(True, {frozenset([m("a", 1)]): 0})
+
     def test_ambient_match(self):
         with pytest.raises(ValueError):
             LabeledComplex(2, {frozenset([m("a")]): 0})
@@ -246,6 +258,13 @@ class TestInstallCells:
         X = p2abc()
         signs = self._sign_map(X)
         signs[next(iter(signs))] = 2
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            LabeledComplex(3, X.faces, signs).cells
+
+    def test_bool_sign_rejected(self):
+        X = p2abc()
+        signs = self._sign_map(X)
+        signs[next(k for k, s in signs.items() if s == 1)] = True
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             LabeledComplex(3, X.faces, signs).cells
 

@@ -445,9 +445,10 @@ class TestKernelAgainstRestrictOracle:
 
     @pytest.mark.parametrize("field_text", ["q", "p:2", "p:32003"])
     def test_stuck_collapse_is_decided_by_elimination(self, monkeypatch, field_text):
-        # every vertex of the hollow square has two cofaces, so nothing
-        # collapses at a*b*c*d and elimination must find the loop; every
-        # other degree selects a path (which collapses) or a set of
+        # at a*b*c*d the lower selection is a path of three vertices; the
+        # fourth vertex has two cofaces, so nothing new collapses, and the
+        # one edge-to-vertex block relative to the path must find the loop;
+        # every other degree selects a path (which collapses) or a set of
         # points (rank-free), so that is the only rank computed
         calls = []
         for name in ("rank_rationals", "rank_mod_p"):
@@ -458,7 +459,8 @@ class TestKernelAgainstRestrictOracle:
         I = expand_principal(m("d", 4))
         fld = Field.parse(field_text)
         verify_resolution(hollow_square(), I, fld)
-        assert len(calls) == 1
+        ((mat, *_),) = calls
+        assert [len(mat), len(mat[0])] == [1, 2]
         monkeypatch.undo()
         report = assert_matches_oracle(hollow_square(), I, fld)
         assert not report.ok
@@ -634,30 +636,28 @@ def kernel_paths(monkeypatch, X, I, fld=Q):
     """verify's report, and how each lattice degree was decided, in order.
 
     "relative": X_{<=b} collapsed onto its lower selection.  "stuck": the
-    relative collapse left cells, so the absolute steps ran.  "atom": the
-    absolute steps on a single vertex.  "lower failed": the absolute steps
-    alone on a non-atom, whose lower selection had not passed.
+    relative collapse left cells, ranked relative to the lower selection.
+    "atom": a single vertex, ranked from the empty selection.  "lower
+    failed": a non-atom whose lower selection had not passed, collapsed and
+    ranked from the empty selection.  Each degree collapses exactly once.
     """
     calls = []
     real = resolution._collapse
 
-    def spy(live, lower, comask, facets):
-        left = real(live, lower, comask, facets)
-        calls.append((live, lower, left))
+    def spy(live, base, comask, facets):
+        left = real(live, base, comask, facets)
+        calls.append((live, base, left))
         return left
 
     with monkeypatch.context() as patch:
         patch.setattr(resolution, "_collapse", spy)
         report = verify_resolution(X, I, fld)
-    paths, it = [], iter(calls)
-    for live, lower, left in it:
-        if not lower:
+    paths = []
+    for live, base, left in calls:
+        if not base:
             paths.append("lower failed" if live & (live - 1) else "atom")
-        elif left == lower:
-            paths.append("relative")
         else:
-            paths.append("stuck")
-            assert next(it)[:2] == (live, 0)
+            paths.append("stuck" if left else "relative")
     assert len(paths) == len(report.checks) - 1
     return report, paths
 
@@ -678,7 +678,8 @@ class TestKernelPaths:
 
     def test_failed_lower_selection_takes_the_absolute_path(self, monkeypatch):
         # P(3,3) without a maximal cell: the first failing degree gets stuck
-        # relative to a passing one, and degrees above it fall back
+        # relative to a passing one, and degrees above it start from the
+        # empty selection
         X = power_complex(3, VarRange(1, 3), 3)
         I = expand_principal(m("c^3"))
         degrees = build_lattice(I).sorted_elements[1:]
@@ -693,3 +694,13 @@ class TestKernelPaths:
                 seen.add((path, check.status))
         assert ("stuck", "fail") in seen
         assert ("lower failed", "fail") in seen
+
+    def test_one_collapse_per_golden_drop_mutant_degree(self, monkeypatch):
+        # a stuck degree is ranked relative to its lower selection, never
+        # collapsed a second time from the empty one
+        paths = []
+        for _, X in golden_drop_mutants():
+            I = BorelIdeal.from_expanded(X.n, frozenset(X.vertex_labels))
+            paths += kernel_paths(monkeypatch, X, I)[1]
+        assert len(paths) == 3292
+        assert paths.count("stuck") == 227
