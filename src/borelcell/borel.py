@@ -30,7 +30,6 @@ from .monomials import (
 
 __all__ = [
     "BorelIdeal",
-    "PrincipalForm",
     "in_principal",
     "expand_principal",
     "is_borel_fixed",
@@ -197,77 +196,27 @@ def intersect_borel(m: Monomial, J: BorelIdeal) -> BorelIdeal:
     return BorelIdeal.from_borel_gens(J.n, [min_monomial(m, g) for g in J.borel_gens])
 
 
-@dataclass(frozen=True)
-class PrincipalForm:
-    """A non-unit monomial written as x_{l1}^{d1} * ... * x_{ls}^{ds}.
-
-    The support indices l1 < ... < ls are 1-based; every di is positive.
-    """
-
-    lambdas: tuple[int, ...]
-    ds: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.lambdas) != len(self.ds) or not self.lambdas:
-            raise ValueError("support and exponent lists must match and be nonempty")
-        if any(d < 1 for d in self.ds):
-            raise ValueError("exponents must be positive")
-        if any(a >= b for a, b in zip(self.lambdas, self.lambdas[1:])):
-            raise ValueError("support indices must strictly increase")
-        if self.lambdas[0] < 1:
-            raise ValueError("variable indices are 1-based")
-
-    @property
-    def s(self) -> int:
-        return len(self.lambdas)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.ds)
-
-    @classmethod
-    def from_monomial(cls, m: Monomial) -> "PrincipalForm":
-        if m.is_unit:
-            raise ValueError("the unit monomial has no principal form")
-        lambdas = tuple(i + 1 for i, e in enumerate(m.exps) if e > 0)
-        ds = tuple(e for e in m.exps if e > 0)
-        return cls(lambdas=lambdas, ds=ds)
-
-    def monomial(self, n: int) -> Monomial:
-        if self.lambdas[-1] > n:
-            raise ValueError(f"support index {self.lambdas[-1]} exceeds ambient {n}")
-        exps = [0] * n
-        for l, d in zip(self.lambdas, self.ds):
-            exps[l - 1] = d
-        return Monomial(tuple(exps))
-
-
-def principal_decomposition(pf: PrincipalForm) -> list[tuple[PrincipalForm, VarRange]]:
+def principal_decomposition(m: Monomial) -> list[tuple[Monomial, VarRange]]:
     """Split a principal Borel ideal into monomial-times-power summands.
 
-    For m = x_{l1}^{d1} ... x_{ls}^{ds} with s > 1 and l_{s-1} > 1, the
-    ideal decomposes as the sum over k = 1 .. l_{s-1} of
-    N_k * (x_k, ..., x_{ls})^{ds}, where N_k is principal Borel on
-    x_{l1}^{d1} ... x_{lj}^{dj} * x_k^{d_{j+1}+...+d_{s-1}} for the j with
-    l_j < k <= l_{j+1}.  Degenerate shapes (s = 1, or l_{s-1} = 1) are
-    rejected; builders handle those directly.
+    For m = x_{l1}^{d1} ... x_{ls}^{ds} with s > 1 and exponent tuple e,
+    the ideal is the sum over k = 1 .. l_{s-1} of <N_k> * (x_k, ..., x_{ls})^{ds},
+    where <N_k> is the principal Borel ideal of N_k, which keeps e below
+    x_k and moves the rest of m / x_{ls}^{ds} onto x_k:
+    N_k = e[:k-1] + (sum(e[k-1 : l_s-1]),) + zeros.  Returns the pairs
+    (N_k, k..l_s).  For l_{s-1} = 1 this is the single summand
+    x1^{d1} * (x1, ..., x_{l2})^{d2}.  A pure power or the unit (s < 2) is
+    rejected.
     """
-    s = pf.s
-    if s < 2 or pf.lambdas[s - 2] < 2:
-        raise ValueError("decomposition needs s > 1 and second-largest support > 1")
-    out: list[tuple[PrincipalForm, VarRange]] = []
-    for k in range(1, pf.lambdas[s - 2] + 1):
-        j = 0
-        while j < s - 1 and pf.lambdas[j] < k:
-            j += 1
-        # now j is minimal with k <= lambdas[j]; the prefix kept is lambdas[:j]
-        head_l = pf.lambdas[:j]
-        head_d = pf.ds[:j]
-        tail_exp = sum(pf.ds[j : s - 1])
-        if tail_exp < 1 or (head_l and head_l[-1] >= k):
-            raise ValueError(f"summand {k} of the decomposition is malformed")
-        nk = PrincipalForm(lambdas=head_l + (k,), ds=head_d + (tail_exp,))
-        out.append((nk, VarRange(k, pf.lambdas[-1])))
+    e = m.exps
+    support = [i + 1 for i, x in enumerate(e) if x]
+    if len(support) < 2:
+        raise ValueError("decomposition needs at least two support variables")
+    top = support[-1]
+    out = []
+    for k in range(1, support[-2] + 1):
+        nk = e[: k - 1] + (sum(e[k - 1 : top - 1]),) + (0,) * (m.n - k)
+        out.append((Monomial(nk), VarRange(k, top)))
     return out
 
 

@@ -9,9 +9,8 @@ k of (simplex on x_lo..x_k) x (degree-d complex over x_k..x_hi).
 principal_complex(n, m) resolves the smallest Borel fixed ideal containing
 m.  It follows the monomial-times-power decomposition of the ideal: each
 summand N_k * (x_k..x_top)^{d_s} contributes the product of the complex for
-N_k with a power complex, all glued by union.  The two degenerate shapes
-skip the decomposition: a pure power is a power complex, and a leading
-x1-power factors out as a plain relabeling.
+N_k with a power complex, all glued by union.  A pure power is the base
+case: its complex is a power complex.
 
 borel_complex(I) glues the principal complexes of the Borel generators;
 induced_complex(I) instead carves the vertex-spanned subcomplex out of the
@@ -21,11 +20,10 @@ from __future__ import annotations
 
 from functools import cache
 
-from .borel import BorelIdeal, PrincipalForm, principal_decomposition
+from .borel import BorelIdeal, principal_decomposition
 from .complexes import (
     LabeledComplex,
     product,
-    scale_labels,
     simplex,
     spanned_subcomplex,
     union,
@@ -68,22 +66,13 @@ def power_complex(n: int, rng: VarRange, d: int) -> LabeledComplex:
 
 @cache
 def _principal(n: int, exps: tuple[int, ...]) -> LabeledComplex:
-    m = Monomial(exps)
-    pf = PrincipalForm.from_monomial(m)
-    if pf.s == 1:
-        return power_complex(n, VarRange(1, pf.lambdas[0]), pf.ds[0])
-    if pf.lambdas[-2] == 1:
-        # leading pure x1-power: relabel the power complex of the tail
-        head = Monomial(tuple(pf.ds[0] if j == 0 else 0 for j in range(n)))
-        tail = power_complex(n, VarRange(1, pf.lambdas[1]), pf.ds[1])
-        return scale_labels(tail, head)
+    support = [i + 1 for i, e in enumerate(exps) if e]
+    if len(support) == 1:
+        return power_complex(n, VarRange(1, support[0]), exps[support[0] - 1])
     return union(
         *(
-            product(
-                _principal(n, nk.monomial(n).exps),
-                power_complex(n, rng, pf.ds[-1]),
-            )
-            for nk, rng in principal_decomposition(pf)
+            product(_principal(n, nk.exps), power_complex(n, rng, exps[rng.hi - 1]))
+            for nk, rng in principal_decomposition(Monomial(exps))
         )
     )
 

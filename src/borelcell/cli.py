@@ -60,7 +60,10 @@ __all__ = ["main"]
 def _ideal_triple(ns: argparse.Namespace):
     """Resolve the ideal flags to (vars, kind, generator monomials)."""
     if ns.ideal is not None:
-        return parse_ideal_spec(ns.ideal, ns.vars)
+        n, kind, gens = parse_ideal_spec(ns.ideal, ns.vars)
+        if ns.vars is not None and n != ns.vars:
+            raise ValueError(f"--vars {ns.vars} does not match the spec's vars: {n}")
+        return n, kind, gens
     if ns.borel is None and ns.mono is None:
         raise ValueError("need --borel, --mono, or --ideal")
     if ns.vars is None:
@@ -110,8 +113,6 @@ def _run_gen(ns: argparse.Namespace) -> int:
 
 
 def _run_min(ns: argparse.Namespace) -> int:
-    if ns.vars is None:
-        raise ValueError("--vars is required")
     ms = [parse_monomial(t, ns.vars) for t in ns.monomials]
     if len(ms) < 2:
         raise ValueError("min needs at least two monomials")
@@ -127,11 +128,16 @@ def _run_min(ns: argparse.Namespace) -> int:
 def _run_complex(ns: argparse.Namespace) -> int:
     agree = None
     if ns.kind == "P":
+        for flag in ("method", "borel", "mono", "ideal"):
+            if getattr(ns, flag) is not None:
+                raise ValueError(f"complex P takes no --{flag}")
         if ns.vars is None or ns.degree is None:
             raise ValueError("complex P needs --vars and --degree")
         X = power_complex(ns.vars, VarRange(1, ns.vars), ns.degree)
         name = f"P(vars={ns.vars}, degree={ns.degree})"
     else:
+        if ns.degree is not None:
+            raise ValueError("complex Q takes no --degree")
         n, kind, gens = _ideal_triple(ns)
         I = _equal_degree_ideal(n, kind, gens)
         method = ns.method or "recursive"
@@ -161,8 +167,6 @@ def _ideal_config(I: BorelIdeal) -> dict:
 
 
 def _run_verify(ns: argparse.Namespace) -> int:
-    if ns.in_path is None:
-        raise ValueError("verify needs --in")
     X = import_json(ns.in_path)
     if ns.ideal is not None or ns.borel is not None or ns.mono is not None:
         n, kind, gens = _ideal_triple(ns)

@@ -1,5 +1,4 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from borelcell import borel
 from borelcell.borel import (
     BorelIdeal,
-    PrincipalForm,
     borel_generators,
     borel_minimalize,
     eliahou_kervaire_betti,
@@ -284,78 +282,66 @@ class TestIntersectBorel:
             intersect_borel(m("b^3"), J)
 
 
-class TestPrincipalForm:
-    def test_round_trip(self):
-        pf = PrincipalForm.from_monomial(m("b^2*c*d^2", 4))
-        assert pf.lambdas == (2, 3, 4)
-        assert pf.ds == (2, 1, 2)
-        assert pf.monomial(4) == m("b^2*c*d^2", 4)
-        assert pf.s == 3 and pf.degree == 5
+# every monomial of 2..5 variables up to degree 4 (degree 3 for 5
+# variables): 172 monomials, 48 of them x1^a * x_j^b with a, b > 0
+SMALL_MONOMIALS = [
+    g
+    for n, top in [(2, 4), (3, 4), (4, 4), (5, 3)]
+    for d in range(1, top + 1)
+    for g in monomials_of_degree(n, d)
+]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PrincipalForm((2, 1), (1, 1))
-        with pytest.raises(ValueError):
-            PrincipalForm((1,), (0,))
-        with pytest.raises(ValueError):
-            PrincipalForm.from_monomial(unit(3))
-        with pytest.raises(ValueError):
-            PrincipalForm((1, 5), (1, 1)).monomial(4)
+
+def summand_union(mono):
+    """Union of the summands N_k * (x_k..x_top)^{d_s} as monomial sets."""
+    n, total = mono.n, set()
+    for nk, rng in principal_decomposition(mono):
+        ds = mono.exps[rng.hi - 1]
+        power = {
+            p
+            for p in monomials_of_degree(n, ds)
+            if not any(p.exps[: rng.lo - 1]) and not any(p.exps[rng.hi :])
+        }
+        total |= multiply_sets(expand_principal(nk).expanded, power)
+    return total
 
 
 class TestPrincipalDecomposition:
     def test_bd2(self):
-        pf = PrincipalForm.from_monomial(m("b*d^2", 4))
-        out = principal_decomposition(pf)
-        got = [(nk.monomial(4), rng) for nk, rng in out]
-        assert got == [
+        assert principal_decomposition(m("b*d^2", 4)) == [
             (m("a", 4), VarRange(1, 4)),
             (m("b", 4), VarRange(2, 4)),
         ]
 
     def test_bcd(self):
-        pf = PrincipalForm.from_monomial(m("bcd", 4))
-        got = [(nk.monomial(4), rng) for nk, rng in principal_decomposition(pf)]
-        assert got == [
+        assert principal_decomposition(m("bcd", 4)) == [
             (m("a^2", 4), VarRange(1, 4)),
             (m("b^2", 4), VarRange(2, 4)),
             (m("bc", 4), VarRange(3, 4)),
         ]
 
-    def test_summands_cover_the_ideal(self):
-        # N_k * (x_k..x_top)^{d_s} pieces union to the expansion
-        mono = m("b^2*c*d", 4)
-        pf = PrincipalForm.from_monomial(mono)
-        total = set()
-        for nk, rng in principal_decomposition(pf):
-            power = expand_principal(
-                Monomial(
-                    tuple(
-                        pf.ds[-1] if j == rng.hi - 1 else 0 for j in range(4)
-                    )
-                )
-            ).expanded
-            shifted = {
-                p for p in power if all(
-                    e == 0 for e in p.exps[: rng.lo - 1]
-                )
-            }
-            total |= multiply_sets(
-                expand_principal(nk.monomial(4)).expanded, shifted
-            )
-        assert total == set(expand_principal(mono).expanded)
+    def test_leading_x1_power_is_one_summand(self):
+        assert principal_decomposition(m("a^2*b^2")) == [(m("a^2"), VarRange(1, 2))]
+        assert principal_decomposition(m("a*c^3", 4)) == [(m("a", 4), VarRange(1, 3))]
 
-    def test_malformed_summand_raises(self):
-        # PrincipalForm rejects a zero exponent, so pass a stand-in with one
-        pf = SimpleNamespace(lambdas=(1, 2, 3), ds=(1, 0, 1), s=3)
-        with pytest.raises(ValueError, match="malformed"):
-            principal_decomposition(pf)
+    def test_summands_cover_the_ideal(self):
+        assert len(SMALL_MONOMIALS) == 172
+        leading = 0
+        for mono in SMALL_MONOMIALS:
+            support = [i for i, e in enumerate(mono.exps) if e]
+            if len(support) < 2:
+                continue
+            leading += support[-2] == 0
+            assert summand_union(mono) == set(expand_principal(mono).expanded), mono
+        assert leading == 48
 
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(ValueError):
-            principal_decomposition(PrincipalForm.from_monomial(m("a^3")))
+            principal_decomposition(m("a^3"))
         with pytest.raises(ValueError):
-            principal_decomposition(PrincipalForm.from_monomial(m("a^2*b^2")))
+            principal_decomposition(m("c^2"))
+        with pytest.raises(ValueError):
+            principal_decomposition(unit(3))
 
 
 class TestEliahouKervaire:

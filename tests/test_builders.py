@@ -131,6 +131,16 @@ class TestPrincipalComplex:
         assert X == Y
         assert X.cells == Y.cells
 
+    @pytest.mark.parametrize("n, top", [(2, 4), (3, 4), (4, 4), (5, 3)])
+    def test_matches_extraction_exhaustive(self, n, top):
+        # every monomial up to degree top, x1^a * x_j^b (one summand) included
+        for d in range(1, top + 1):
+            for mono in monomials_of_degree(n, d):
+                X = principal_complex(n, mono)
+                Y = induced_complex(expand_principal(mono))
+                assert X == Y, mono
+                assert X.cells == Y.cells, mono
+
     def test_errors(self):
         with pytest.raises(ValueError):
             principal_complex(3, unit(3))

@@ -149,6 +149,42 @@ class TestComplex:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--method", ["--method", "both"]),
+            ("--borel", ["--borel", "bc"]),
+            ("--mono", ["--mono", ",".join(BC5)]),
+            ("--ideal", ["--ideal", "vars: 3; borel: bc"]),
+        ],
+    )
+    def test_p_rejects_the_ideal_flags(self, capsys, flag, argv):
+        rc, out, err = run(
+            capsys, "complex", "P", "--vars", "3", "--degree", "2", *argv
+        )
+        assert (rc, out, err) == (2, "", f"error: complex P takes no {flag}\n")
+
+    def test_q_rejects_degree(self, capsys):
+        rc, out, err = run(
+            capsys, "complex", "Q", "--vars", "3", "--degree", "5", "--borel", "bc"
+        )
+        assert (rc, out, err) == (2, "", "error: complex Q takes no --degree\n")
+
+    def test_vars_must_match_the_spec(self, capsys):
+        rc, out, err = run(
+            capsys, "complex", "Q", "--vars", "3", "--ideal", "vars: 4; borel: bc"
+        )
+        assert (rc, out, err) == (
+            2,
+            "",
+            "error: --vars 3 does not match the spec's vars: 4\n",
+        )
+        rc, out, _ = run(
+            capsys, "complex", "Q", "--vars", "3", "--ideal", "vars: 3; borel: bc"
+        )
+        assert rc == 0
+        assert "dimension 2, f-vector (5, 6, 2)" in out
+
 
 class TestVerify:
     def write_q(self, tmp_path):
@@ -266,6 +302,23 @@ class TestBetti:
     def test_mixed_degrees_rejected(self, capsys):
         rc, _, err = run(capsys, "betti", *MIXED)
         assert rc == 2
+
+    def test_vars_must_match_the_spec(self, capsys):
+        rc, out, err = run(
+            capsys, "betti", "--vars", "3", "--ideal", "vars: 4; borel: bc"
+        )
+        assert (rc, out, err) == (
+            2,
+            "",
+            "error: --vars 3 does not match the spec's vars: 4\n",
+        )
+
+    def test_spec_alone_fixes_vars(self, capsys):
+        rc, out, _ = run(
+            capsys, "betti", "--method", "ek", "--ideal", "vars: 4; borel: bc"
+        )
+        assert rc == 0
+        assert out.strip() == "ek: (5, 6, 2)"
 
 
 class TestLattice:
@@ -585,6 +638,16 @@ class TestParser:
     def test_vars_must_be_at_least_one(self, capsys):
         rc, out, err = run(capsys, "gen", "--vars", "0", "--borel", "a")
         assert (rc, out, err) == (2, "", "error: --vars must be at least 1\n")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["verify"], "--in"), (["min", "a", "b"], "--vars")],
+    )
+    def test_required_flags_are_argparse_errors(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestParserReuse:
