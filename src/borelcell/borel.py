@@ -267,14 +267,14 @@ def borel_generators(n: int, ms) -> tuple[Monomial, ...]:
 def parse_ideal_spec(text: str, default_n: int | None = None):
     """Parse an ideal spec string.
 
-    Segments separated by ';' or newlines: an optional 'vars: n' plus one
+    Segments separated by ';' or newlines: at most one 'vars: n' plus one
     of 'borel: m1, m2, ...' (generators in the Borel sense) or
     'mono: m1, m2, ...' (explicit generating set, checked for closure).
     Returns (n, kind, monomials) with kind in {'borel', 'mono'}.
     """
     n = default_n
-    kind = None
-    gens_text = None
+    kind = gens_text = None
+    has_vars = False
     for seg in (p.strip() for p in text.replace("\n", ";").split(";")):
         if not seg:
             continue
@@ -283,7 +283,13 @@ def parse_ideal_spec(text: str, default_n: int | None = None):
             raise ValueError(f"bad ideal spec segment {seg!r}")
         head = head.strip().lower()
         if head == "vars":
-            n = int(body)
+            if has_vars:
+                raise ValueError("ideal spec has more than one vars segment")
+            has_vars = True
+            try:
+                n = int(body)
+            except ValueError:
+                raise ValueError(f"bad vars segment {seg!r}: not an integer") from None
         elif head in ("borel", "mono"):
             if kind is not None:
                 raise ValueError("ideal spec has more than one generator list")

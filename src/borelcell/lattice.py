@@ -1,8 +1,15 @@
 """The lcm lattice of a monomial ideal.
 
 Elements are the unit (bottom) together with the lcms of all nonempty sets
-of minimal generators, ordered by divisibility.  One closure over exponent
-tuples serves both input kinds: a BorelIdeal contributes its expanded
+of minimal generators, ordered by divisibility.  A tuple b above the bottom
+is one exactly when, for every v with b_v > 0, some generator dividing x^b
+has exponent b_v in v: then b is the lcm of the generators dividing it.  So
+the lattice is enumerated, not closed under joins: candidates are built
+depth-first over the variables, each exponent one the generators have in
+that variable, carrying the bitmask of generators dividing the prefix (ANDs
+of the "exponent <= k" masks).  A branch is pruned when that mask is empty
+or none of it has exponent exactly e in v; each leaf takes the full test.
+Both input kinds take this path: a BorelIdeal contributes its expanded
 generators, which go through the same checks and minimalization as a
 generator list.  The lattice keeps its elements as canonically sorted
 exponent tuples, which `verify` and the Koszul oracle read; `elements`,
@@ -33,6 +40,7 @@ from operator import le
 from .borel import BorelIdeal
 from .monomials import (
     Monomial,
+    _below_masks,
     _exps_key,
     canonical_key,
     lcm_many,
@@ -124,10 +132,27 @@ def build_lattice(gens) -> LcmLattice:
     if any(g.is_unit for g in gens):
         raise ValueError("unit generator makes the whole ring")
     atoms = minimal_under_divisibility(gens)
-    elements = {(0,) * n}
-    for a in (a.exps for a in atoms):
-        # joins of the atom sets whose last atom is a (the unit joins to a)
-        elements |= {tuple(map(max, e, a)) for e in elements}
+    rows = [a.exps for a in atoms]
+    below = _below_masks(rows, n)
+    # exact[v][k]: atoms with exponent exactly k in variable v
+    exact = [[m ^ (ms[k - 1] if k else 0) for k, m in enumerate(ms)] for ms in below]
+    values = [sorted({e[v] for e in rows}) for v in range(n)]
+    elements = [(0,) * n]
+
+    def extend(prefix: tuple[int, ...], live: int) -> None:
+        # live: the atoms dividing the prefix, some of them reaching each
+        # exponent (at e = 0, every atom below it does)
+        v = len(prefix)
+        if v == n:
+            if all(live & x[e] for x, e in zip(exact, prefix)):
+                elements.append(prefix)
+            return
+        for e in values[v]:
+            sub = live & below[v][e]
+            if sub & exact[v][e]:
+                extend(prefix + (e,), sub)
+
+    extend((), (1 << len(atoms)) - 1)
     return LcmLattice(n=n, atoms=atoms, exps=tuple(sorted(elements, key=_exps_key)))
 
 

@@ -20,22 +20,45 @@ way.
 
 verify_resolution decides every degree with one kernel over the cells of
 the already oriented complex.  Degrees run in canonical order, so every
-degree below b in the lattice is decided before b, and each degree takes
-the same four steps:
+degree below b in the lattice is decided before b.  Each degree is
+selected, then either passed by the nerve step or decided by lower,
+collapse and rank:
 
 select     AND one "exponent <= b_v" bitmask per variable v over cell ids.
            The result is the subcomplex of cells whose label divides b; it
            is closed under faces (a face's label divides its cell's), so
            every selected cell keeps its facets, ridges and the parent's
            verified signs, and nothing needs re-orienting.
-lower      for each v with b_v > 0, ANDing X_{<=b} with the
-           "exponent <= b_v - 1" mask gives X_{<=m}, where m is the largest
-           lattice element dividing b - e_v (every cell label is a lattice
-           element).  Every a < b divides one such m, so the largest of
-           these masks is X_{<=a} for a lower cover a of b, found without
-           computing covers.  The base is X_{<=a} if that selection passed,
-           and the empty selection otherwise (an atom, one vertex, has
-           nothing below it).
+nerve      for each v with b_v > 0, ANDing X_{<=b} with the
+           "exponent <= b_v - 1" mask gives X_{<=b-e_v}.  The 0-cells come
+           first, one per generator, so on them X_{<=b} is the generators
+           g dividing x^b and X_{<=b-e_v} is strict[v], those with
+           g_v < b_v.  The upper Koszul complex K^b is the union of the
+           full simplices on S_g = {v : g_v < b_v}; it is the full simplex
+           on U = {v : strict[v] != 0} iff some S_g is U, iff the g's stay
+           nonzero ANDed with every nonzero strict[v].  Three guards:
+           no degree has failed so far, no cell of positive dimension is
+           labeled b, and U is nonempty (otherwise a generator equals b:
+           a vertex is labeled b).  Then X_{<=b} = X_{<b}, the union of
+           the X_{<=b-e_v}.  The intersection over S is X_{<=b-e_S} =
+           X_{<=c} for the join c < b of the vertex labels dividing
+           b - e_S (a cell label is the lcm of its vertex labels): acyclic,
+           as it passed, or empty exactly when S is not a face of K^b.  The
+           Mayer-Vietoris spectral sequence of this cover gives
+           H~(X_{<b}) = H~(K^b) = 0, so b passes with no collapse and no
+           rank.  The argument is on the chain complex, so it holds with
+           the complex's own signs, whose facet-ridge cancellations
+           LabeledComplex checks.  (Miller-Sturmfels, Combinatorial
+           Commutative Algebra, 2005, ch. 1 and 4; Bjorner, Topological
+           methods, 1995, section 10.)  A degree failing a guard, or whose
+           K^b is not a full simplex, goes on to the next three steps.
+lower      every cell label is a lattice element, so X_{<=b-e_v} is
+           X_{<=m} for the largest lattice element m dividing b - e_v.
+           Every a < b divides one such m, so the largest of these masks
+           is X_{<=a} for a lower cover a of b, found without computing
+           covers.  The base is X_{<=a} if that selection passed, and the
+           empty selection otherwise (an atom, one vertex, has nothing
+           below it).
 collapse   repeatedly delete a cell of D = X_{<=b} minus base with exactly
            one remaining coface, together with that coface.  The base is
            closed under faces, so every coface of a cell in D is in D.  In
@@ -58,7 +81,8 @@ rank       if nothing of D is left, X_{<=b} collapses onto the acyclic base
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import le
+from functools import reduce
+from operator import and_, le
 
 from .borel import BorelIdeal
 from .complexes import LabeledComplex
@@ -171,9 +195,9 @@ class ResolutionReport:
 def _acyclicity_checks(
     X: LabeledComplex, C: ChainComplex, fld: Field, degrees
 ) -> list[CheckResult]:
-    """One check per degree of X, whose differential is C: select, collapse
-    relative to a passed lower selection, rank what is left (module
-    docstring)."""
+    """One check per degree of X, whose differential is C: select, then
+    pass by the nerve, or collapse relative to a passed lower selection and
+    rank what is left (module docstring)."""
     cells = X.cells  # cell ids are positions, ordered by dimension
     facets = [[fid for fid, _ in col] for col in C.columns]
     comask = [0] * len(cells)
@@ -183,19 +207,28 @@ def _acyclicity_checks(
     # below[v][k]: cells whose label has exponent at most k in variable v
     below = _below_masks([c.label.exps for c in cells], X.n)
 
+    vertices = (1 << C.dims.count(0)) - 1  # the 0-cells come first
+    # labels of positive-dimensional cells; a vertex labeled b leaves U empty
+    labels = {c.label.exps for c in cells if c.dim}
     everything = (1 << len(cells)) - 1
     passed: set[int] = set()  # selections certified acyclic
+    failed = False
     checks = []
     for b in degrees:
         live = everything
         for masks, e in zip(below, b):
             if e < len(masks) - 1:
                 live &= masks[e]
+        lowers = [live & masks[e - 1] for masks, e in zip(below, b) if e]
+        if not failed and b not in labels:
+            # the nerve: K^b is the full simplex on a nonempty U
+            strict = [s & vertices for s in lowers if s & vertices]
+            if strict and reduce(and_, strict, live & vertices):
+                passed.add(live)
+                checks.append(CheckResult("acyclic", "pass", _exps_text(b)))
+                continue
         # X_{<=a} for a lower cover a of b, decided earlier in degree order
-        lower = max(
-            (live & masks[e - 1] for masks, e in zip(below, b) if e),
-            default=0,
-        )
+        lower = max(lowers, default=0)
         base = lower if lower in passed else 0
         left = _collapse(live, base, comask, facets)
         dims = ()  # nothing left: X_{<=b} collapses onto the acyclic base
@@ -207,6 +240,7 @@ def _acyclicity_checks(
         if ok:
             passed.add(live)
         else:
+            failed = True
             witness = {
                 "reduced_homology": list(dims),
                 "first_nonzero": next(i - 1 for i, h in enumerate(dims) if h != 0),

@@ -47,6 +47,22 @@ class TestGen:
         assert rc == 0
         assert out.splitlines() == BC5
 
+    def test_ideal_spec_rejects_a_second_vars_segment(self, capsys):
+        rc, out, err = run(capsys, "gen", "--ideal", "vars: 3; vars: 4; borel: d")
+        assert (rc, out, err) == (
+            2,
+            "",
+            "error: ideal spec has more than one vars segment\n",
+        )
+
+    def test_ideal_spec_names_a_non_integer_vars_segment(self, capsys):
+        rc, out, err = run(capsys, "gen", "--ideal", "vars: x; borel: a")
+        assert (rc, out, err) == (
+            2,
+            "",
+            "error: bad vars segment 'vars: x': not an integer\n",
+        )
+
     def test_mono_kind_echoes_minimal_generators(self, capsys):
         rc, out, _ = run(
             capsys, "gen", "--vars", "3", "--mono", ",".join(BC5)

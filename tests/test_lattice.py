@@ -290,6 +290,56 @@ class TestRankedAgainstAllPairs:
             is_ranked(L, chain_budget=5)
 
 
+def closure_lattice(gens):
+    """The lattice by closure, as exponent tuples: join every minimal
+    generator with every element found so far, from the bottom up."""
+    pool = set(gens.expanded if isinstance(gens, BorelIdeal) else gens)
+    atoms = [g.exps for g in pool if not any(h != g and h.divides(g) for h in pool)]
+    elements = {(0,) * len(atoms[0])}
+    for a in atoms:
+        elements |= {tuple(map(max, e, a)) for e in elements}
+    return elements
+
+
+# up to 8 generators of mixed degree 1..4 in at most 5 variables
+wide_generator_lists = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.sampled_from(
+            [g for d in (1, 2, 3, 4) for g in monomials_of_degree(n, d)]
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+
+# Borel ideals generated in one degree, up to several hundred generators
+wide_borel_ideals = st.sampled_from(
+    [(4, 3), (4, 4), (5, 2), (5, 3), (6, 2)]
+).flatmap(
+    lambda nd: st.lists(
+        st.sampled_from(list(monomials_of_degree(*nd))), min_size=1, max_size=3
+    ).map(lambda gens: BorelIdeal.from_borel_gens(nd[0], gens))
+)
+
+
+class TestMembershipAgainstClosure:
+    """The membership-test enumeration finds the closure's elements."""
+
+    @given(
+        st.one_of(
+            generator_lists, wide_generator_lists, borel_ideals,
+            wide_borel_ideals, mixed_borel,
+        )
+    )
+    @example(expand_principal(m("x4^4", 4)))
+    @example(mixed_lattice().atoms)
+    @settings(max_examples=120, deadline=None)
+    def test_same_elements_as_the_closure(self, gens):
+        L = build_lattice(gens)
+        assert set(L.exps) == closure_lattice(gens)
+        assert L.sorted_elements == tuple(sorted(L.elements, key=canonical_key))
+
+
 class TestChains:
     def test_two_variable_square(self):
         L = build_lattice([m("a", 2), m("b", 2)])

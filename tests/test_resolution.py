@@ -1,5 +1,8 @@
+import itertools
 import json
 from dataclasses import replace
+from functools import reduce
+from operator import or_
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +14,7 @@ from borelcell.borel import BorelIdeal, expand_principal
 from borelcell.builders import borel_complex, power_complex, principal_complex
 from borelcell.complexes import Cell, LabeledComplex, restrict, simplex
 from borelcell.exact import Field, rank_mod_p, rank_rationals
+from borelcell.koszul import upper_koszul
 from borelcell.lattice import build_lattice
 from borelcell.monomials import (
     Monomial,
@@ -598,14 +602,20 @@ def golden_drop_mutants():
 
 
 def assert_matches_absolute(X, I, fld):
-    report = verify_resolution(X, I, fld)
+    report, paths = kernel_paths(X, I, fld)
     degrees = build_lattice(I).sorted_elements[1:]
-    assert list(report.checks[1:]) == absolute_acyclicity_checks(X, fld, degrees)
+    reference = absolute_acyclicity_checks(X, fld, degrees)
+    assert list(report.checks[1:]) == reference
+    labels = cell_label_exps(X)
+    for b, path, check in zip(report.degrees, paths, reference):
+        if path == "nerve":
+            assert b not in labels and check.status == "pass"
     return report
 
 
 class TestRelativeAgainstAbsoluteKernel:
-    """Relative collapse decides every degree as the absolute kernel does."""
+    """The nerve and relative collapse decide every degree as the absolute
+    kernel does."""
 
     @given(
         small_borel,
@@ -632,28 +642,47 @@ class TestRelativeAgainstAbsoluteKernel:
             assert not report.ok, name
 
 
-def kernel_paths(monkeypatch, X, I, fld=Q):
+def kernel_paths(X, I, fld=Q):
     """verify's report, and how each lattice degree was decided, in order.
 
-    "relative": X_{<=b} collapsed onto its lower selection.  "stuck": the
-    relative collapse left cells, ranked relative to the lower selection.
-    "atom": a single vertex, ranked from the empty selection.  "lower
-    failed": a non-atom whose lower selection had not passed, collapsed and
-    ranked from the empty selection.  Each degree collapses exactly once.
+    "nerve": a degree labeling no cell whose upper Koszul complex is a full
+    simplex, passed with no collapse.  "relative": X_{<=b} collapsed onto
+    its lower selection.  "stuck": the relative collapse left cells, ranked
+    relative to the lower selection.  "atom": a single vertex, ranked from
+    the empty selection.  "lower failed": a non-atom whose lower selection
+    had not passed, collapsed and ranked from the empty selection.  Every
+    other degree collapses exactly once.
     """
+    current = []  # the degrees handed to the kernel so far
     calls = []
-    real = resolution._collapse
+    collapse, checks = resolution._collapse, resolution._acyclicity_checks
 
     def spy(live, base, comask, facets):
-        left = real(live, base, comask, facets)
-        calls.append((live, base, left))
+        left = collapse(live, base, comask, facets)
+        calls.append((current[-1], live, base, left))
         return left
 
-    with monkeypatch.context() as patch:
+    def tracked(X, C, fld, degrees):
+        def walk():
+            for b in degrees:
+                current.append(b)
+                yield b
+
+        return checks(X, C, fld, walk())
+
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(resolution, "_collapse", spy)
+        patch.setattr(resolution, "_acyclicity_checks", tracked)
         report = verify_resolution(X, I, fld)
+    assert current == list(report.degrees)
+    by_degree = {b: rest for b, *rest in calls}
+    assert len(by_degree) == len(calls)
     paths = []
-    for live, base, left in calls:
+    for b in current:
+        if b not in by_degree:
+            paths.append("nerve")
+            continue
+        live, base, left = by_degree[b]
         if not base:
             paths.append("lower failed" if live & (live - 1) else "atom")
         else:
@@ -662,21 +691,48 @@ def kernel_paths(monkeypatch, X, I, fld=Q):
     return report, paths
 
 
+def cell_label_exps(X):
+    return {c.label.exps for c in X.cells}
+
+
 class TestKernelPaths:
     @pytest.mark.parametrize(
         "n, top",
         [(4, "x4^4"), (5, "x5^3"), (5, "x2*x3*x5,x1*x4^2")],
     )
-    def test_every_non_atom_degree_is_relative(self, monkeypatch, n, top):
+    def test_every_non_atom_degree_is_relative(self, n, top):
+        # ... unless it labels no cell and K^b is a full simplex on a
+        # nonempty vertex set: then it takes the nerve
         I = BorelIdeal.from_borel_gens(
             n, [parse_monomial(t, n) for t in top.split(",")]
         )
-        report, paths = kernel_paths(monkeypatch, borel_complex(I), I)
+        X = borel_complex(I)
+        report, paths = kernel_paths(X, I)
         assert report.ok
-        assert paths.count("atom") == len(I.expanded)
-        assert paths.count("relative") == len(paths) - len(I.expanded)
+        atoms = {g.exps for g in I.expanded}
+        labels = cell_label_exps(X)
+        expected = []
+        for b in report.degrees:
+            K = upper_koszul(I.expanded, Monomial(b))
+            union = reduce(or_, K.masks)
+            nerve = b not in labels and union and union in K.masks
+            expected.append(
+                "atom" if b in atoms else "nerve" if nerve else "relative"
+            )
+        assert paths == expected
+        assert "nerve" in paths
 
-    def test_failed_lower_selection_takes_the_absolute_path(self, monkeypatch):
+    def test_non_label_degrees_of_p44_take_the_nerve(self):
+        X = power_complex(4, VarRange(1, 4), 4)
+        I = expand_principal(parse_monomial("x4^4", 4))
+        report, paths = kernel_paths(X, I)
+        labels = cell_label_exps(X)
+        assert len(paths) == 590
+        nerve = [b for b, p in zip(report.degrees, paths) if p == "nerve"]
+        assert nerve == [b for b in report.degrees if b not in labels]
+        assert len(nerve) == 590 - len(labels) == 433
+
+    def test_failed_lower_selection_takes_the_absolute_path(self):
         # P(3,3) without a maximal cell: the first failing degree gets stuck
         # relative to a passing one, and degrees above it start from the
         # empty selection
@@ -687,20 +743,80 @@ class TestKernelPaths:
         seen = set()
         for pick in range(sum(c.id not in facet_ids for c in X.cells)):
             Y = drop_maximal_cell(X, pick)
-            report, paths = kernel_paths(monkeypatch, Y, I)
+            report, paths = kernel_paths(Y, I)
             reference = absolute_acyclicity_checks(Y, Q, degrees)
             assert list(report.checks[1:]) == reference
             for path, check in zip(paths, reference):
                 seen.add((path, check.status))
         assert ("stuck", "fail") in seen
         assert ("lower failed", "fail") in seen
+        assert ("nerve", "pass") in seen
 
-    def test_one_collapse_per_golden_drop_mutant_degree(self, monkeypatch):
+    def test_one_collapse_per_golden_drop_mutant_degree(self):
         # a stuck degree is ranked relative to its lower selection, never
         # collapsed a second time from the empty one
         paths = []
         for _, X in golden_drop_mutants():
             I = BorelIdeal.from_expanded(X.n, frozenset(X.vertex_labels))
-            paths += kernel_paths(monkeypatch, X, I)[1]
+            paths += kernel_paths(X, I)[1]
         assert len(paths) == 3292
         assert paths.count("stuck") == 227
+        # degrees labeling no cell, each before its mutant's first failure
+        assert paths.count("nerve") == 415
+
+
+def drop_pairs():
+    """(X, X without one maximal cell) for P(3,3) and the golden files."""
+    sources = [power_complex(3, VarRange(1, 3), 3)] + [
+        dict_to_complex(json.loads((DATA / name).read_text()))
+        for name in ("complex_P43.json", "complex_Q4_bd2.json")
+    ]
+    for X in sources:
+        facet_ids = {fid for c in X.cells for fid, _ in c.facets}
+        for pick in range(sum(c.id not in facet_ids for c in X.cells)):
+            yield X, drop_maximal_cell(X, pick)
+
+
+class TestNerveShortcut:
+    """Degrees labeling no cell, passed from K^b while nothing has failed."""
+
+    def test_a_dropped_maximal_cell_falls_back_and_fails(self):
+        # the victim's label degree labels no cell of the mutant, and it is
+        # the first to fail, so only the K^b test keeps it off the nerve
+        count = 0
+        for X, Y in drop_pairs():
+            (b,) = cell_label_exps(X) - cell_label_exps(Y)
+            I = BorelIdeal.from_expanded(Y.n, frozenset(Y.vertex_labels))
+            report, paths = kernel_paths(Y, I)
+            statuses = [c.status for c in report.checks[1:]]
+            i = report.degrees.index(b)
+            assert statuses.index("fail") == i
+            assert paths[i] != "nerve"
+            K = upper_koszul(I.expanded, Monomial(b))
+            assert reduce(or_, K.masks) not in K.masks  # not a full simplex
+            degrees = [Monomial(e) for e in report.degrees]
+            reference = absolute_acyclicity_checks(Y, Q, degrees)
+            assert report.checks[1 + i] == reference[i]
+            count += 1
+        assert count == 6 + 17
+
+    def test_a_cell_label_never_takes_the_nerve(self):
+        # hollow triangle on a^2, ab, b^2: K^{a^2 b^2} is a full simplex
+        # (ab divides both a^2 b^2 / a and a^2 b^2 / b), but X_{<=a^2 b^2}
+        # is a circle, carried by the edge {a^2, b^2} labeled a^2 b^2
+        vs = [m(t, 2) for t in ("a^2", "a*b", "b^2")]
+        faces = {frozenset([v]): 0 for v in vs}
+        faces.update({frozenset(e): 1 for e in itertools.combinations(vs, 2)})
+        X = LabeledComplex(2, faces)
+        I = BorelIdeal.from_expanded(2, frozenset(vs))
+        K = upper_koszul(vs, m("a^2*b^2", 2))
+        assert reduce(or_, K.masks) in K.masks
+        report, paths = kernel_paths(X, I)
+        assert "nerve" not in paths
+        assert report.checks[-1] == CheckResult(
+            "acyclic",
+            "fail",
+            "x1^2*x2^2",
+            {"reduced_homology": [0, 0, 1], "first_nonzero": 1},
+        )
+        assert [c.status for c in report.checks[1:-1]] == ["pass"] * 5
