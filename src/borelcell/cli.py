@@ -19,8 +19,8 @@ Letters a..d are accepted for x1..x4 on input; JSON always uses the x<i>
 spelling.
 
 The argument parser is built once per process, on the first call of main,
-and reused by later calls; the environment ($BORELCELL_FIELD) is still read
-on every call.
+and reused by later calls; the environment ($BORELCELL_FIELD, the default
+field of verify and betti) is still read on every call of those two.
 """
 from __future__ import annotations
 
@@ -219,13 +219,11 @@ def _run_betti(ns: argparse.Namespace) -> int:
     if "cellular" in wanted:
         X = borel_complex(I)
         report = verify_resolution(X, I, ns.field)
-        if not report.ok:
-            print("cellular method: complex failed resolution verification")
+        try:  # demands a passing report and a minimal complex
+            vals["cellular"] = betti_totals(betti_from_cells(X, report))
+        except ValueError as exc:
+            print(f"cellular method: {exc}")
             return 1
-        if not check_minimal(X):
-            print("cellular method: complex is not minimal")
-            return 1
-        vals["cellular"] = betti_totals(betti_from_cells(X, report))
         degrees = report.degrees
     if "koszul" in wanted:
         vals["koszul"] = betti_totals(betti_via_koszul(I.expanded, degrees, ns.field))
@@ -247,6 +245,17 @@ def _run_betti(ns: argparse.Namespace) -> int:
 
 def _run_lattice(ns: argparse.Namespace) -> int:
     n, kind, gens = _ideal_triple(ns)
+    # the flags are checked before the lattice is built and printed
+    if ns.check == "ranked" and ns.interval is not None:
+        raise ValueError("--interval only applies to --check labels")
+    if ns.check == "labels":
+        if ns.interval is None:
+            raise ValueError("--check labels needs --interval lo..hi")
+        lo_text, sep, hi_text = ns.interval.partition("..")
+        if not sep:
+            raise ValueError("--interval must look like lo..hi")
+        lo = parse_monomial(lo_text, n)
+        hi = parse_monomial(hi_text, n)
     # as in gen, Borel generators may mix degrees; an explicit set may not
     if kind == "borel":
         L = build_lattice(borel_generators(n, gens))
@@ -263,8 +272,6 @@ def _run_lattice(ns: argparse.Namespace) -> int:
     }
 
     if ns.check == "ranked":
-        if ns.interval is not None:
-            raise ValueError("--interval only applies to --check labels")
         rep = is_ranked(L)
         print(f"ranked: {'yes' if rep else 'no'} (criterion: {rep.criterion})")
         result: dict = {"ranked": rep.ranked, "criterion": rep.criterion}
@@ -284,13 +291,6 @@ def _run_lattice(ns: argparse.Namespace) -> int:
             }
         rc = 0 if rep.ranked else 1
     else:
-        if ns.interval is None:
-            raise ValueError("--check labels needs --interval lo..hi")
-        lo_text, sep, hi_text = ns.interval.partition("..")
-        if not sep:
-            raise ValueError("--interval must look like lo..hi")
-        lo = parse_monomial(lo_text, n)
-        hi = parse_monomial(hi_text, n)
         config["interval"] = [lo.canonical(), hi.canonical()]
         rep = natural_label_check(L, lo, hi)
         print(f"interval [{lo}, {hi}]: {len(rep.chains)} maximal chains")
@@ -419,10 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        # each subcommand sets the flags it has
-        ns.field = Field.parse(
-            getattr(ns, "field", None) or os.environ.get("BORELCELL_FIELD", "q")
-        )
+        # each subcommand sets the flags it has; verify and betti have --field
+        if hasattr(ns, "field"):
+            ns.field = Field.parse(ns.field or os.environ.get("BORELCELL_FIELD", "q"))
         if getattr(ns, "vars", None) is not None and ns.vars < 1:
             raise ValueError("--vars must be at least 1")
         if getattr(ns, "jobs", 1) < 1:

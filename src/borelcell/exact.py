@@ -108,16 +108,17 @@ class Field:
             raise ValueError(f"{self.p} is not prime")
 
     @classmethod
-    def rationals(cls) -> "Field":
-        return cls(None)
-
-    @classmethod
     def parse(cls, text: str) -> "Field":
         t = text.strip().lower()
         if t == "q":
             return cls(None)
         if t.startswith("p:"):
-            return cls(int(t[2:]))
+            try:
+                p = int(t[2:])
+            except ValueError:
+                pass  # not a modulus: the message below names the text
+            else:
+                return cls(p)
         raise ValueError(f"field must be 'q' or 'p:<prime>', got {text!r}")
 
     def rank(self, rows: list[list[int]]) -> int:

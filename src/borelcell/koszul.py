@@ -25,7 +25,7 @@ from operator import and_, or_
 
 from .exact import Field
 from .lattice import build_lattice
-from .monomials import Monomial, _below_masks, _bits, _exps_key
+from .monomials import Monomial, _below_masks, _bits
 
 __all__ = [
     "SimplicialComplex",
@@ -140,20 +140,18 @@ def upper_koszul(gens, b: Monomial) -> SimplicialComplex:
 
 
 def betti_via_koszul(
-    gens, degrees=None, fld: Field = Field.rationals()
+    gens, degrees=None, fld: Field = Field()
 ) -> dict[tuple[int, Monomial], int]:
     """Graded Betti numbers from upper Koszul homology.
 
-    degrees are exponent tuples and default to the lcm lattice above the
-    bottom, which carries all of the support; any superset gives the same
-    nonzero table.
+    degrees are exponent tuples, in any order: each is decided on its own.
+    They default to the lcm lattice above the bottom, which carries all of
+    the support; any superset gives the same nonzero table.
     """
     gens = list(gens)
     if degrees is None:
         # the unit is the only degree-0 element, so it sorts first
         degrees = build_lattice(gens).exps[1:]
-    else:
-        degrees = sorted(degrees, key=_exps_key)
     table: dict[tuple[int, Monomial], int] = {}
     if not gens:
         return table  # every K^b is void

@@ -29,7 +29,8 @@ canonical (degree-first) order carries the set of chain lengths of every
 length rho(x), then rho(c) = rho(m) + 1 for every cover m < c, so rho is a
 rank function and every chain of [m, n] has length rho(n) - rho(m).  The
 witness is the first x with several lengths, the bottom being the
-canonically first lower end.  A budget bounds them.
+canonically first lower end.  CHAIN_TABLE_BUDGET bounds that table and
+CHAIN_BUDGET the maximal chains listed; past either, the CLI exits 2.
 """
 from __future__ import annotations
 
@@ -58,6 +59,9 @@ __all__ = [
     "natural_label_check",
     "ChainBudgetExceeded",
 ]
+
+CHAIN_TABLE_BUDGET = 500_000
+CHAIN_BUDGET = 100_000
 
 
 class ChainBudgetExceeded(ValueError):
@@ -167,7 +171,7 @@ class RankedReport:
         return self.ranked
 
 
-def is_ranked(L: LcmLattice, chain_budget: int = 500_000) -> RankedReport:
+def is_ranked(L: LcmLattice) -> RankedReport:
     """Decide rankedness; see the module docstring for the two criteria."""
     if len({a.degree for a in L.atoms}) == 1 and all(
         c.degree == m.degree + 1
@@ -183,9 +187,9 @@ def is_ranked(L: LcmLattice, chain_budget: int = 500_000) -> RankedReport:
     for x in L.sorted_elements:
         ls = lengths.pop(x)
         entries += len(ls)
-        if entries > chain_budget:
+        if entries > CHAIN_TABLE_BUDGET:
             raise ChainBudgetExceeded(
-                f"chain-length table exceeded budget {chain_budget}"
+                f"chain-length table exceeded budget {CHAIN_TABLE_BUDGET}"
             )
         if len(ls) > 1:
             break
@@ -222,12 +226,12 @@ def _chain_count(L: LcmLattice, lo: Monomial, hi: Monomial) -> int:
 
 
 def maximal_chains(
-    L: LcmLattice, lo: Monomial, hi: Monomial, budget: int = 100_000
+    L: LcmLattice, lo: Monomial, hi: Monomial
 ) -> list[tuple[Monomial, ...]]:
     """All maximal chains of [lo, hi], each listed bottom-up; an interval
-    with more than `budget` of them is rejected before any is listed."""
-    if _chain_count(L, lo, hi) > budget:
-        raise ChainBudgetExceeded(f"more than {budget} maximal chains")
+    with more than CHAIN_BUDGET of them is rejected before any is listed."""
+    if _chain_count(L, lo, hi) > CHAIN_BUDGET:
+        raise ChainBudgetExceeded(f"more than {CHAIN_BUDGET} maximal chains")
     out: list[tuple[Monomial, ...]] = []
     stack: list[Monomial] = [lo]
 
@@ -262,11 +266,9 @@ class LabelChainReport:
     decreasing: tuple[int, ...] = field(default=())
 
 
-def natural_label_check(
-    L: LcmLattice, lo: Monomial, hi: Monomial, budget: int = 100_000
-) -> LabelChainReport:
+def natural_label_check(L: LcmLattice, lo: Monomial, hi: Monomial) -> LabelChainReport:
     """Label every cover by the largest variable entering, list the chains."""
-    chains = maximal_chains(L, lo, hi, budget)
+    chains = maximal_chains(L, lo, hi)
     labels = tuple(
         tuple(
             b.quotient(a).max_index() for a, b in zip(chain, chain[1:])

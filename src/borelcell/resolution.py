@@ -184,13 +184,6 @@ class ResolutionReport:
     subject: LabeledComplex | None = field(default=None, compare=False, repr=False)
     degrees: tuple = field(default=(), compare=False, repr=False)  # exponent tuples
 
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "field": self.field,
-            "checks": [c.as_dict() for c in self.checks],
-        }
-
 
 def _acyclicity_checks(
     X: LabeledComplex, C: ChainComplex, fld: Field, degrees
@@ -313,7 +306,7 @@ def _residual_homology(
 def verify_resolution(
     X: LabeledComplex,
     I: BorelIdeal,
-    fld: Field = Field.rationals(),
+    fld: Field = Field(),
 ) -> ResolutionReport:
     """Check that the complex supports a resolution of I.
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from borelcell import cli, lattice
-from borelcell.builders import induced_complex, principal_complex
+from borelcell.builders import borel_complex, induced_complex, principal_complex
 from borelcell.cli import main
 from borelcell.complexes import LabeledComplex, simplex
 from borelcell.monomials import parse_monomial
@@ -20,6 +20,13 @@ from borelcell.serialize import dict_to_complex, export_json
 BC5 = ["a^2", "a*b", "b^2", "a*c", "b*c"]
 MIXED = ["--vars", "4", "--borel", "ab,ac,a*d^2,b^2*c*d^2"]
 DATA = Path(__file__).parent / "data"
+
+
+def drop_a_maximal_cell(X):
+    faces = dict(X.faces)
+    # a cell of top dimension is a face of no other cell
+    del faces[max(faces, key=lambda f: (faces[f], sorted(map(str, f))))]
+    return LabeledComplex(X.n, faces)
 
 
 def run(capsys, *argv):
@@ -141,13 +148,10 @@ class TestComplex:
         assert "recursive = extract: yes" in out
 
     def test_methods_disagree(self, capsys, monkeypatch):
-        def drop_a_maximal_cell(I):
-            faces = dict(induced_complex(I).faces)
-            # a cell of top dimension is a face of no other cell
-            del faces[max(faces, key=lambda f: (faces[f], sorted(map(str, f))))]
-            return LabeledComplex(I.n, faces)
-
-        monkeypatch.setattr("borelcell.cli.induced_complex", drop_a_maximal_cell)
+        monkeypatch.setattr(
+            "borelcell.cli.induced_complex",
+            lambda I: drop_a_maximal_cell(induced_complex(I)),
+        )
         rc, out, _ = run(
             capsys, "complex", "Q", "--vars", "3", "--borel", "bc", "--method", "both"
         )
@@ -336,6 +340,70 @@ class TestBetti:
         assert rc == 0
         assert out.strip() == "ek: (5, 6, 2)"
 
+    @pytest.mark.parametrize("method", ["cellular", "all"])
+    def test_a_complex_failing_verification(self, capsys, monkeypatch, method):
+        monkeypatch.setattr(
+            cli, "borel_complex", lambda I: drop_a_maximal_cell(borel_complex(I))
+        )
+        assert run(
+            capsys, "betti", "--vars", "3", "--borel", "bc", "--method", method
+        ) == (1, "cellular method: complex failed resolution verification\n", "")
+
+    @pytest.mark.parametrize("method", ["cellular", "all"])
+    def test_a_non_minimal_complex(self, capsys, monkeypatch, method):
+        # the Taylor complex of (a^2, ab, b^2) resolves it, but not minimally
+        taylor = simplex([parse_monomial(t, 2) for t in ("a^2", "a*b", "b^2")])
+        monkeypatch.setattr(cli, "borel_complex", lambda I: taylor)
+        assert run(
+            capsys, "betti", "--vars", "2", "--borel", "b^2", "--method", method
+        ) == (1, "cellular method: complex is not minimal\n", "")
+
+
+class TestFieldSelection:
+    """Only verify and betti take a field, so only they read BORELCELL_FIELD."""
+
+    @pytest.mark.parametrize("env", ["bogus", "p:4"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--vars", "3", "--borel", "bc"],
+            ["min", "--vars", "3", "b^5*c", "a*b^3*c^2"],
+            ["complex", "Q", "--vars", "3", "--borel", "bc"],
+            ["lattice", "--vars", "3", "--borel", "bc", "--check", "ranked"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_other_commands_ignore_a_bad_env(self, capsys, monkeypatch, argv, env):
+        monkeypatch.delenv("BORELCELL_FIELD", raising=False)
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        monkeypatch.setenv("BORELCELL_FIELD", env)
+        assert run(capsys, *argv) == expected
+
+    @pytest.mark.parametrize(
+        "env, message",
+        [
+            ("bogus", "field must be 'q' or 'p:<prime>', got 'bogus'"),
+            ("p:4", "4 is not prime"),
+        ],
+    )
+    def test_verify_and_betti_reject_a_bad_env(
+        self, capsys, monkeypatch, tmp_path, env, message
+    ):
+        path = TestVerify().write_q(tmp_path)
+        monkeypatch.setenv("BORELCELL_FIELD", env)
+        betti = ["betti", "--vars", "3", "--borel", "bc"]
+        for argv in (["verify", "--in", str(path)], betti):
+            assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text", ["p:abc", "p:", "p:7x"])
+    def test_an_unparsable_modulus_names_the_field_text(self, capsys, text):
+        rc, out, err = run(
+            capsys, "betti", "--vars", "3", "--borel", "bc", "--field", text
+        )
+        message = f"field must be 'q' or 'p:<prime>', got {text!r}"
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestLattice:
     def test_ranked_equigenerated(self, capsys):
@@ -434,15 +502,16 @@ class TestLattice:
         assert rc == 2
         assert "error:" in err
 
+    # flag errors are found before the lattice is built: nothing is printed
     def test_labels_needs_interval(self, capsys):
-        rc, _, err = run(
+        rc, out, err = run(
             capsys, "lattice", "--vars", "3", "--borel", "bc", "--check", "labels"
         )
-        assert rc == 2
-        assert "--interval" in err
+        message = "--check labels needs --interval lo..hi"
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_interval_rejected_for_ranked(self, capsys):
-        rc, _, err = run(
+        rc, out, err = run(
             capsys,
             "lattice",
             "--vars",
@@ -454,10 +523,14 @@ class TestLattice:
             "--interval",
             "1..a^2*b^2*c",
         )
-        assert rc == 2
+        assert (rc, out, err) == (
+            2,
+            "",
+            "error: --interval only applies to --check labels\n",
+        )
 
     def test_bad_interval_syntax(self, capsys):
-        rc, _, err = run(
+        rc, out, err = run(
             capsys,
             "lattice",
             "--vars",
@@ -469,8 +542,7 @@ class TestLattice:
             "--interval",
             "a-b",
         )
-        assert rc == 2
-        assert "lo..hi" in err
+        assert (rc, out, err) == (2, "", "error: --interval must look like lo..hi\n")
 
 
 class TestDeterminism:

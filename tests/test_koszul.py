@@ -23,7 +23,7 @@ from borelcell.monomials import (
 )
 from borelcell.resolution import betti_from_cells, betti_totals, verify_resolution
 
-Q = Field.rationals()
+Q = Field()
 FIELDS = (Q, Field.parse("p:2"))
 
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from borelcell import lattice
 from borelcell.borel import (
     BorelIdeal,
     borel_generators,
@@ -194,9 +195,10 @@ class TestIsRanked:
         assert lo_i == unit(4)
         assert len(lengths) >= 2
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(lattice, "CHAIN_TABLE_BUDGET", 2)
         with pytest.raises(ChainBudgetExceeded):
-            is_ranked(mixed_lattice(), chain_budget=2)
+            is_ranked(mixed_lattice())
 
 
 def all_borel_ideals(n, d):
@@ -283,11 +285,13 @@ class TestRankedAgainstAllPairs:
         L = build_lattice(gens)
         assert is_ranked(L) == all_pairs_is_ranked(L)
 
-    def test_budget_bounds_the_bottom_table(self):
+    def test_budget_bounds_the_bottom_table(self, monkeypatch):
         L = mixed_lattice()
-        assert not is_ranked(L, chain_budget=len(L))
+        monkeypatch.setattr(lattice, "CHAIN_TABLE_BUDGET", len(L))
+        assert not is_ranked(L)
+        monkeypatch.setattr(lattice, "CHAIN_TABLE_BUDGET", 5)
         with pytest.raises(ChainBudgetExceeded, match="budget 5"):
-            is_ranked(L, chain_budget=5)
+            is_ranked(L)
 
 
 def closure_lattice(gens):
@@ -353,10 +357,11 @@ class TestChains:
         L = build_lattice([m("a", 2), m("b", 2)])
         assert maximal_chains(L, L.top, L.top) == [(L.top,)]
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         L = build_lattice(expand_principal(m("c^2")))
+        monkeypatch.setattr(lattice, "CHAIN_BUDGET", 1)
         with pytest.raises(ChainBudgetExceeded):
-            maximal_chains(L, L.bottom, L.top, budget=1)
+            maximal_chains(L, L.bottom, L.top)
 
     def test_labels_on_the_square(self):
         L = build_lattice([m("a", 2), m("b", 2)])

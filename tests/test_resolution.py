@@ -39,7 +39,7 @@ from borelcell.resolution import (
 )
 from borelcell.serialize import dict_to_complex, dumps
 
-Q = Field.rationals()
+Q = Field()
 DATA = Path(__file__).parent / "data"
 
 

@@ -1,13 +1,17 @@
-"""Source rules of the package: standard library only, and no asserts.
+"""Source rules of the package: standard library only, no asserts, and a
+package namespace that exports the documented library alone.
 
 `python -O` strips assert statements, so an invariant written as one is
 silently unchecked; every check in the package raises instead.
 """
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
+
+import borelcell
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "borelcell").glob("*.py"))
 
@@ -55,3 +59,13 @@ def test_verify_never_computes_lattice_covers():
         # attributes, names, imported names and strings (getattr, __dict__)
         names = [getattr(node, k, None) for k in ("attr", "id", "name", "value")]
         assert "covers" not in names, f"resolution.py:{getattr(node, 'lineno', '?')}"
+
+
+def test_package_exports_the_readme_library():
+    """borelcell.__all__ is __version__ plus the README's Library names."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"from borelcell import \((.*?)\)", readme, re.S)
+    documented = [name.strip() for name in block.group(1).split(",") if name.strip()]
+    assert borelcell.__all__ == ["__version__", *documented]
+    for name in documented:
+        assert callable(getattr(borelcell, name)), name
