@@ -13,7 +13,6 @@ every move x_t -> x_s is a chain of them.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import comb
 
@@ -22,7 +21,6 @@ from .monomials import (
     VarRange,
     canonical_key,
     minimal_under_divisibility,
-    monomials_of_degree,
     parse_monomial,
     rlex_key,
     suffix_sums,
@@ -38,7 +36,6 @@ __all__ = [
     "intersect_borel",
     "principal_decomposition",
     "eliahou_kervaire_betti",
-    "random_borel_minimal",
     "borel_generators",
     "parse_ideal_spec",
 ]
@@ -233,16 +230,6 @@ def eliahou_kervaire_betti(I: BorelIdeal) -> tuple[int, ...]:
         for i in range(mi):
             betti[i] += comb(mi - 1, i)
     return tuple(betti)
-
-
-def random_borel_minimal(n: int, d: int, s: int, seed: int) -> BorelIdeal:
-    """Seeded random Borel ideal: s uniform degree-d draws, minimalized."""
-    if s < 1:
-        raise ValueError("need at least one draw")
-    rng = random.Random(seed)
-    pool = list(monomials_of_degree(n, d))
-    picks = [pool[rng.randrange(len(pool))] for _ in range(s)]
-    return BorelIdeal.from_borel_gens(n, picks)
 
 
 def borel_generators(n: int, ms) -> tuple[Monomial, ...]:

@@ -46,7 +46,6 @@ __all__ = [
     "simplex",
     "product",
     "union",
-    "scale_labels",
     "restrict",
     "spanned_subcomplex",
 ]
@@ -369,15 +368,6 @@ def union(X: LabeledComplex, *others: LabeledComplex) -> LabeledComplex:
             if faces.setdefault(f, d) != d:
                 raise ValueError("union glues cells of different dimensions")
     return LabeledComplex._from_masks(X.n, verts, faces)
-
-
-def scale_labels(X: LabeledComplex, mu: Monomial) -> LabeledComplex:
-    """Multiply every vertex label by mu (a relabeling, not a subdivision)."""
-    if mu.n != X.n:
-        raise ValueError("ambient mismatch")
-    # one shift for every label keeps the canonical order, hence the masks
-    verts = tuple(tuple(map(add, v, mu.exps)) for v in X._verts)
-    return LabeledComplex._from_masks(X.n, verts, X._dims)
 
 
 def _subcomplex(X: LabeledComplex, faces: dict[int, int]) -> LabeledComplex:

@@ -53,18 +53,6 @@ class SimplicialComplex:
             if any(f ^ (1 << i) not in self.masks for i in _bits(f)):
                 raise ValueError("face family is not downward closed")
 
-    @classmethod
-    def from_faces(cls, faces) -> "SimplicialComplex":
-        """From an iterable of vertex sets, vertices numbered from 1."""
-        faces = [set(f) for f in faces]
-        if any(type(v) is not int or v < 1 for f in faces for v in f):
-            raise ValueError("vertices must be integers >= 1")
-        return cls(frozenset(sum(1 << (v - 1) for v in f) for f in faces))
-
-    @property
-    def faces(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(i + 1 for i in _bits(f)) for f in self.masks)
-
     @property
     def is_void(self) -> bool:
         return not self.masks

@@ -12,10 +12,19 @@ or none of it has exponent exactly e in v; each leaf takes the full test.
 Both input kinds take this path: a BorelIdeal contributes its expanded
 generators, which go through the same checks and minimalization as a
 generator list.  The lattice keeps its elements as canonically sorted
-exponent tuples, which `verify` and the Koszul oracle read; `elements`,
-`sorted_elements` and `covers` are Monomial views, built on first use.
-Covers are computed from atom joins: the elements covering m are the
-divisibility-minimal members of {lcm(m, a) : a an atom, lcm(m, a) != m}.
+exponent tuples, which `verify` and the Koszul oracle read; `elements`
+and `sorted_elements` are Monomial views, built on first use.
+
+Covers come from the same masks, with no joins.  For b above the bottom and
+each v with b_v > 0, let live_v be the atoms dividing x^(b - e_v) and c_v
+their lcm, the bottom if there are none: its exponent in w is the least k
+with live_v inside the "exponent <= k" mask of w.  Every element c < b
+divides x^(b - e_v) for some v, so the atoms below c lie in live_v and c
+divides c_v.  The lower covers of b are therefore the divisibility-maximal
+c_v, at most n of them, and c_u divides c_v exactly when live_u is a subset
+of live_v.  The rule holds for any monomial ideal.  `lower_covers` maps
+each element above the bottom to its lower covers; `covers`, its inverse as
+Monomial views, serves only `--out` and the chain listing.
 
 Rankedness: with equigenerated atoms the degree criterion is tried first,
 every cover above the bottom raises degree by exactly one.  It is
@@ -23,27 +32,27 @@ sufficient for rankedness, since degree then grades every interval, but not
 necessary: the lattice of (a^2, b^2) is ranked though a^2 < a^2*b^2 is a
 cover of degree two.  So it only answers yes; every other lattice goes to
 the general definition: all maximal chains of every interval have equal
-length.  Maximal chains are cover paths, so one pass up the covers in
-canonical (degree-first) order carries the set of chain lengths of every
-[bottom, x].  Checking those intervals alone is exact: if each has a single
-length rho(x), then rho(c) = rho(m) + 1 for every cover m < c, so rho is a
-rank function and every chain of [m, n] has length rho(n) - rho(m).  The
-witness is the first x with several lengths, the bottom being the
-canonically first lower end.  CHAIN_TABLE_BUDGET bounds that table and
-CHAIN_BUDGET the maximal chains listed; past either, the CLI exits 2.
+length.  Maximal chains are cover paths, so one pass in canonical
+(degree-first) order, each x reading its lower covers, which sort earlier,
+carries the set of chain lengths of every [bottom, x].  Checking those
+intervals alone is exact: if each has a single length rho(x), then
+rho(c) = rho(m) + 1 for every cover m < c, so rho is a rank function and
+every chain of [m, n] has length rho(n) - rho(m).  The witness is the
+first x with several lengths, the bottom being the canonically first lower
+end.  CHAIN_TABLE_BUDGET bounds that table and CHAIN_BUDGET the maximal
+chains listed; past either, the CLI exits 2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import le
+from functools import cached_property, reduce
+from operator import and_, le
 
 from .borel import BorelIdeal
 from .monomials import (
     Monomial,
     _below_masks,
     _exps_key,
-    canonical_key,
     lcm_many,
     minimal_under_divisibility,
     unit,
@@ -97,31 +106,47 @@ class LcmLattice:
         return frozenset(self.sorted_elements)
 
     @cached_property
+    def lower_covers(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Map b -> the elements b covers, for every b above the bottom, by
+        the rule in the module docstring."""
+        below = _below_masks([a.exps for a in self.atoms], self.n)
+        out = {}
+        for b in self.exps[1:]:
+            div = reduce(and_, (ms[e] for ms, e in zip(below, b)))
+            lives = {div & ms[e - 1] for ms, e in zip(below, b) if e}
+            covs = []
+            for live in lives:
+                if any(other != live and live | other == other for other in lives):
+                    continue
+                c = []
+                for ms, k in zip(below, b):
+                    while k and live & ms[k - 1] == live:
+                        k -= 1
+                    c.append(k)
+                covs.append(tuple(c))
+            out[b] = tuple(covs)
+        return out
+
+    @cached_property
     def covers(self):
         """Map m -> tuple of elements covering m, canonically ordered."""
         view = dict(zip(self.exps, self.sorted_elements))
-        atoms = [a.exps for a in self.atoms]
-        out = {}
-        for m in self.exps:
-            joins = {tuple(map(max, m, a)) for a in atoms}
-            joins.discard(m)
-            # a join above another is above a minimal one of lower degree
-            covs: list[tuple[int, ...]] = []
-            for j in sorted(joins, key=sum):
-                if not any(all(map(le, k, j)) for k in covs):
-                    covs.append(j)
-            out[view[m]] = tuple(view[j] for j in sorted(covs, key=_exps_key))
-        return out
+        out = {m: [] for m in self.sorted_elements}
+        for b, cs in self.lower_covers.items():  # canonical order
+            for c in cs:
+                out[view[c]].append(view[b])
+        return {m: tuple(cs) for m, cs in out.items()}
 
-    def interval(self, lo: Monomial, hi: Monomial) -> tuple[Monomial, ...]:
+    def interval(self, lo: Monomial, hi: Monomial) -> tuple[tuple[int, ...], ...]:
+        """The exponent tuples of [lo, hi], canonically ordered."""
         if lo not in self.elements or hi not in self.elements:
             raise ValueError("interval endpoints must be lattice elements")
         if not lo.divides(hi):
             raise ValueError(f"{lo} does not divide {hi}")
         return tuple(
             e
-            for e in self.sorted_elements
-            if lo.divides(e) and e.divides(hi)
+            for e in self.exps
+            if all(map(le, lo.exps, e)) and all(map(le, e, hi.exps))
         )
 
 
@@ -173,19 +198,19 @@ class RankedReport:
 
 def is_ranked(L: LcmLattice) -> RankedReport:
     """Decide rankedness; see the module docstring for the two criteria."""
+    lower = L.lower_covers
     if len({a.degree for a in L.atoms}) == 1 and all(
-        c.degree == m.degree + 1
-        for m in L.sorted_elements[1:]  # the bottom sorts first
-        for c in L.covers[m]
+        sum(c) == sum(b) - 1 for b, cs in lower.items() for c in cs if any(c)
     ):
         return RankedReport(True, "degree")
 
-    # chain lengths of [bottom, x], pushed up the covers; every lower cover
-    # of x has lower degree, so sorts first and is read, complete, before x
-    lengths: dict[Monomial, set[int]] = {L.bottom: {0}}
+    # chain lengths of [bottom, x]; every lower cover of x has lower degree,
+    # so sorts first and is read, complete, before x
+    lengths: dict[tuple[int, ...], set[int]] = {}
     entries = 0
-    for x in L.sorted_elements:
-        ls = lengths.pop(x)
+    for x in L.exps:
+        ls = {l + 1 for c in lower.get(x, ()) for l in lengths[c]} or {0}
+        lengths[x] = ls
         entries += len(ls)
         if entries > CHAIN_TABLE_BUDGET:
             raise ChainBudgetExceeded(
@@ -193,36 +218,32 @@ def is_ranked(L: LcmLattice) -> RankedReport:
             )
         if len(ls) > 1:
             break
-        for c in L.covers[x]:
-            lengths.setdefault(c, set()).update(l + 1 for l in ls)
     else:
         return RankedReport(True, "chains")
     # prefer a jump cover away from the bottom; one with jump >= 2 always
     # exists on any shorter-than-degree chain of an unranked interval
-    jumps = [
-        (m, c) for m, cs in L.covers.items() for c in cs if c.degree > m.degree + 1
-    ]
+    jumps = [(c, b) for b, cs in lower.items() for c in cs if sum(b) > sum(c) + 1]
     witness = min(
         jumps,
-        key=lambda p: (p[0] == L.bottom, canonical_key(p[0]), canonical_key(p[1])),
+        key=lambda p: (not any(p[0]), _exps_key(p[0]), _exps_key(p[1])),
         default=None,
     )
-    interval = (L.bottom, x, tuple(sorted(ls)))
     return RankedReport(
-        False, "chains", witness_cover=witness, witness_interval=interval
+        False,
+        "chains",
+        witness_cover=None if witness is None else tuple(map(Monomial, witness)),
+        witness_interval=(L.bottom, Monomial(x), tuple(sorted(ls))),
     )
 
 
 def _chain_count(L: LcmLattice, lo: Monomial, hi: Monomial) -> int:
-    """The number of maximal chains of [lo, hi], in one pass up the covers:
+    """The number of maximal chains of [lo, hi], in one pass up the interval:
     canonical order lists every element after those below it."""
-    count = dict.fromkeys(L.interval(lo, hi), 0)  # validates endpoints
-    count[lo] = 1
-    for e, k in count.items():
-        for c in L.covers[e]:
-            if c in count:
-                count[c] += k
-    return count[hi]
+    inside = L.interval(lo, hi)  # validates endpoints; lo sorts first
+    count = {lo.exps: 1}
+    for e in inside[1:]:
+        count[e] = sum(count.get(c, 0) for c in L.lower_covers[e])
+    return count[hi.exps]
 
 
 def maximal_chains(

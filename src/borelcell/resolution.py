@@ -164,8 +164,13 @@ def homology_dims(X: LabeledComplex, fld: Field) -> tuple[int, ...]:
 class CheckResult:
     name: str
     status: str  # "pass" or "fail"
-    degree: str | None = None
+    exps: tuple[int, ...] | None = None  # the degree checked
     witness: dict | None = None
+
+    @property
+    def degree(self) -> str | None:
+        """The degree as text, formatted only when read."""
+        return None if self.exps is None else _exps_text(self.exps)
 
     def as_dict(self) -> dict:
         out = {"name": self.name, "status": self.status}
@@ -218,7 +223,7 @@ def _acyclicity_checks(
             strict = [s & vertices for s in lowers if s & vertices]
             if strict and reduce(and_, strict, live & vertices):
                 passed.add(live)
-                checks.append(CheckResult("acyclic", "pass", _exps_text(b)))
+                checks.append(CheckResult("acyclic", "pass", b))
                 continue
         # X_{<=a} for a lower cover a of b, decided earlier in degree order
         lower = max(lowers, default=0)
@@ -242,7 +247,7 @@ def _acyclicity_checks(
             CheckResult(
                 name="acyclic",
                 status="pass" if ok else "fail",
-                degree=_exps_text(b),
+                exps=b,
                 witness=witness,
             )
         )

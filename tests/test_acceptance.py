@@ -16,7 +16,6 @@ from borelcell.borel import (
     expand_principal,
     intersect_borel,
     min_monomial,
-    random_borel_minimal,
 )
 from borelcell.builders import (
     borel_complex,
@@ -46,6 +45,7 @@ from borelcell.resolution import (
     check_minimal,
     verify_resolution,
 )
+from references import random_borel_minimal
 
 
 def m(text, n=3):

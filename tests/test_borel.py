@@ -16,7 +16,6 @@ from borelcell.borel import (
     min_monomial,
     parse_ideal_spec,
     principal_decomposition,
-    random_borel_minimal,
 )
 from borelcell.monomials import (
     Monomial,
@@ -26,6 +25,7 @@ from borelcell.monomials import (
     parse_monomial,
     unit,
 )
+from references import random_borel_minimal
 
 
 def m(text, n=3):

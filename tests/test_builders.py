@@ -1,14 +1,14 @@
 import pytest
 
 from borelcell import builders
-from borelcell.borel import BorelIdeal, expand_principal, random_borel_minimal
+from borelcell.borel import BorelIdeal, expand_principal
 from borelcell.builders import (
     borel_complex,
     induced_complex,
     power_complex,
     principal_complex,
 )
-from borelcell.complexes import product, scale_labels, simplex, union
+from borelcell.complexes import product, simplex, union
 from borelcell.monomials import (
     VarRange,
     monomials_of_degree,
@@ -16,6 +16,7 @@ from borelcell.monomials import (
     unit,
     variable,
 )
+from references import random_borel_minimal, scale_labels
 
 
 def m(text, n=3):

@@ -8,13 +8,13 @@ from borelcell.complexes import (
     LabeledComplex,
     product,
     restrict,
-    scale_labels,
     simplex,
     spanned_subcomplex,
     union,
 )
 from borelcell.monomials import Monomial, VarRange, lcm_many, parse_monomial, unit
 from borelcell.serialize import dumps
+from references import scale_labels
 
 
 def m(text, n=3):

@@ -31,8 +31,20 @@ def m(text, n=3):
     return parse_monomial(text, n)
 
 
+def from_faces(faces):
+    """The complex on the given vertex sets, vertices numbered from 1."""
+    return SimplicialComplex(frozenset(sum(1 << (v - 1) for v in f) for f in faces))
+
+
+def faces_of(X):
+    """The vertex sets of X's faces, vertices numbered from 1."""
+    return frozenset(
+        frozenset(i + 1 for i in range(f.bit_length()) if f >> i & 1) for f in X.masks
+    )
+
+
 def K(*faces):
-    return SimplicialComplex.from_faces(faces)
+    return from_faces(faces)
 
 
 class TestSimplicialComplex:
@@ -66,13 +78,13 @@ class TestUpperKoszul:
     def test_at_a_generator(self):
         gens = [m("a", 2), m("b", 2)]
         at_a = upper_koszul(gens, m("a", 2))
-        assert at_a.faces == frozenset([frozenset()])
+        assert faces_of(at_a) == frozenset([frozenset()])
 
     def test_at_the_lcm(self):
         gens = [m("a", 2), m("b", 2)]
         at_ab = upper_koszul(gens, m("a*b", 2))
         # removing either variable from ab lands in the ideal, removing both does not
-        assert at_ab.faces == frozenset([frozenset(), frozenset([1]), frozenset([2])])
+        assert faces_of(at_ab) == frozenset([frozenset(), frozenset([1]), frozenset([2])])
         assert simplicial_homology(at_ab, Q) == (0, 1)
 
     def test_outside_the_ideal(self):
@@ -82,7 +94,7 @@ class TestUpperKoszul:
     def test_support_only(self):
         gens = [m("bc")]
         Kx = upper_koszul(gens, m("b^2*c"))
-        assert all(f <= {2, 3} for f in Kx.faces)
+        assert all(f <= {2, 3} for f in faces_of(Kx))
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError, match="ambient"):
@@ -270,8 +282,8 @@ class TestAgainstReferences:
     @example(HOLLOW)
     @settings(max_examples=80, deadline=None)
     def test_homology_matches_the_dense_ranks(self, faces):
-        X = SimplicialComplex.from_faces(faces)
-        assert X.faces == faces
+        X = from_faces(faces)
+        assert faces_of(X) == faces
         for fld in FIELDS:
             assert simplicial_homology(X, fld) == dense_homology(faces, fld)
 
@@ -279,7 +291,7 @@ class TestAgainstReferences:
     @settings(max_examples=80, deadline=None)
     def test_faces_match_subset_enumeration(self, case):
         gens, b = case
-        assert upper_koszul(gens, b).faces == subset_upper_koszul(gens, b)
+        assert faces_of(upper_koszul(gens, b)) == subset_upper_koszul(gens, b)
 
     @given(small_borel)
     @example(expand_principal(m("bc")))
@@ -289,7 +301,7 @@ class TestAgainstReferences:
         for b in build_lattice(gens).sorted_elements:
             faces = subset_upper_koszul(gens, b)
             X = upper_koszul(gens, b)
-            assert X.faces == faces, b
+            assert faces_of(X) == faces, b
             for fld in FIELDS:
                 assert simplicial_homology(X, fld) == dense_homology(faces, fld), b
 
@@ -312,10 +324,10 @@ class TestAgainstReferences:
         monkeypatch.setattr(
             Field, "rank", lambda self, rows: calls.append(rows) or rank(self, rows)
         )
-        assert simplicial_homology(SimplicialComplex.from_faces(FULL), Q) == (0,) * 4
+        assert simplicial_homology(from_faces(FULL), Q) == (0,) * 4
         assert simplicial_homology(K(set()), Q) == (1,)
         assert not calls
-        assert simplicial_homology(SimplicialComplex.from_faces(HOLLOW), Q) == (0, 0, 1)
+        assert simplicial_homology(from_faces(HOLLOW), Q) == (0, 0, 1)
         assert len(calls) == 2
         # in the Betti route a full simplex builds no face set either
         built = []
@@ -336,5 +348,3 @@ class TestAgainstReferences:
     def test_face_masks_are_checked(self):
         with pytest.raises(ValueError, match="bitmask"):
             SimplicialComplex(frozenset([-1]))
-        with pytest.raises(ValueError, match="vertices"):
-            K({0})

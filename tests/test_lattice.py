@@ -1,15 +1,14 @@
+import inspect
 import itertools
+import sys
+import types
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from borelcell import lattice
-from borelcell.borel import (
-    BorelIdeal,
-    borel_generators,
-    expand_principal,
-    random_borel_minimal,
-)
+from borelcell.borel import BorelIdeal, borel_generators, expand_principal
 from borelcell.lattice import (
     ChainBudgetExceeded,
     LcmLattice,
@@ -26,6 +25,7 @@ from borelcell.monomials import (
     parse_monomial,
     unit,
 )
+from references import random_borel_minimal
 
 
 def m(text, n=3):
@@ -125,9 +125,12 @@ class TestBuildLattice:
 
     def test_interval(self):
         L = build_lattice(expand_principal(m("bc")))
-        inside = L.interval(m("a*b"), m("a^2*b^2*c"))
-        assert m("a*b") in inside and m("a^2*b^2*c") in inside
-        assert all(m("a*b").divides(e) for e in inside)
+        lo, hi = m("a*b"), m("a^2*b^2*c")
+        inside = L.interval(lo, hi)
+        assert inside[0] == lo.exps and hi.exps in inside
+        assert inside == tuple(
+            e.exps for e in L.sorted_elements if lo.divides(e) and e.divides(hi)
+        )
 
     def test_interval_validation(self):
         L = build_lattice(expand_principal(m("bc")))
@@ -259,16 +262,20 @@ def all_pairs_is_ranked(L):
     )
 
 
-# Borel generators of mixed degree 1..3 in at most 4 variables
-mixed_borel = st.integers(1, 4).flatmap(
-    lambda n: st.lists(
-        st.sampled_from(
-            [g for d in (1, 2, 3) for g in monomials_of_degree(n, d)]
-        ),
-        min_size=1,
-        max_size=3,
-    ).map(lambda gens: list(borel_generators(n, gens)))
-)
+def borel_of_mixed_degrees(max_n):
+    """Borel generators of mixed degree 1..3 in at most max_n variables."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.sampled_from(
+                [g for d in (1, 2, 3) for g in monomials_of_degree(n, d)]
+            ),
+            min_size=1,
+            max_size=3,
+        ).map(lambda gens: list(borel_generators(n, gens)))
+    )
+
+
+mixed_borel = borel_of_mixed_degrees(4)
 
 
 class TestRankedAgainstAllPairs:
@@ -342,6 +349,100 @@ class TestMembershipAgainstClosure:
         L = build_lattice(gens)
         assert set(L.exps) == closure_lattice(gens)
         assert L.sorted_elements == tuple(sorted(L.elements, key=canonical_key))
+
+
+def join_filter_covers(L):
+    """Upper covers by atom joins, as exponent tuples: the elements covering
+    m are the divisibility-minimal members of {lcm(m, a) : a an atom} - {m}."""
+    atoms = [a.exps for a in L.atoms]
+    out = {}
+    for m in L.exps:
+        joins = {tuple(map(max, m, a)) for a in atoms}
+        joins.discard(m)
+        # a join above another is above a minimal one of lower degree
+        covs = []
+        for j in sorted(joins, key=sum):
+            if not any(all(map(le, k, j)) for k in covs):
+                covs.append(j)
+        out[m] = tuple(sorted(covs, key=lambda e: (sum(e), e[::-1])))
+    return out
+
+
+def cover_relation(upper):
+    """The canonically ordered upper covers and the sorted (lower, upper)
+    pairs; a repeated pair stays in the list."""
+    return upper, sorted((m, c) for m, cs in upper.items() for c in cs)
+
+
+def rule_covers(L):
+    upper = {m.exps: tuple(c.exps for c in cs) for m, cs in L.covers.items()}
+    pairs = sorted((c, b) for b, cs in L.lower_covers.items() for c in cs)
+    return upper, pairs
+
+
+COVER_CASES = {
+    "readme_mixed": lambda: mixed_lattice().atoms,
+    "chains": lambda: borel_generators(
+        5, [m(t, 5) for t in ("x1*x5", "x2^2*x4", "x3^3", "x2*x5^3")]
+    ),
+    "P(4,4)": lambda: expand_principal(m("x4^4", 4)),
+    "P(5,3)": lambda: expand_principal(m("x5^3", 5)),
+    "P(5,4)": lambda: expand_principal(m("x5^4", 5)),
+}
+
+# one edit each to the cover rule of borelcell.lattice: skip the last
+# variable, or keep the c_v below another one
+COVER_MUTANTS = {
+    "skips_a_variable": (
+        "for ms, e in zip(below, b) if e}", "for ms, e in zip(below[:-1], b) if e}"
+    ),
+    "keeps_non_maximal": ("if any(other != live and", "if False and any(other != live and"),
+}
+
+
+def mutant_lattice(monkeypatch, old, new):
+    """borelcell.lattice with one edit to its source, loaded as a module of
+    its own."""
+    source = inspect.getsource(lattice)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("borelcell.lattice_mutant")
+    module.__package__ = "borelcell"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), lattice.__file__, "exec"), module.__dict__)
+    return module
+
+
+class TestCoversAgainstJoins:
+    """The cover rule read off the generator masks finds the cover relation
+    of the join-and-filter loop it replaced."""
+
+    @given(
+        st.one_of(
+            generator_lists, wide_generator_lists, borel_ideals,
+            borel_of_mixed_degrees(5),
+        )
+    )
+    @example([m("a^2", 2), m("b^2", 2)])
+    @example([m(t) for t in ("a^2", "ab", "bc", "c^2")])
+    @settings(max_examples=120, deadline=None)
+    def test_same_covers_as_the_joins(self, gens):
+        L = build_lattice(gens)
+        assert rule_covers(L) == cover_relation(join_filter_covers(L))
+
+    @pytest.mark.parametrize("case", COVER_CASES)
+    def test_fixed_ideals(self, case):
+        L = build_lattice(COVER_CASES[case]())
+        assert rule_covers(L) == cover_relation(join_filter_covers(L))
+
+    @pytest.mark.parametrize("mutant", COVER_MUTANTS)
+    def test_a_mutant_rule_disagrees(self, monkeypatch, mutant):
+        module = mutant_lattice(monkeypatch, *COVER_MUTANTS[mutant])
+        disagree = []
+        for case in ("readme_mixed", "chains", "P(4,4)"):
+            L = module.build_lattice(COVER_CASES[case]())
+            if rule_covers(L) != cover_relation(join_filter_covers(L)):
+                disagree.append(case)
+        assert disagree
 
 
 class TestChains:

@@ -563,7 +563,7 @@ def absolute_acyclicity_checks(X, fld, degrees):
             CheckResult(
                 name="acyclic",
                 status="pass" if ok else "fail",
-                degree=b.canonical(),
+                exps=b.exps,
                 witness=witness,
             )
         )
@@ -816,7 +816,8 @@ class TestNerveShortcut:
         assert report.checks[-1] == CheckResult(
             "acyclic",
             "fail",
-            "x1^2*x2^2",
+            (2, 2),
             {"reduced_homology": [0, 0, 1], "first_nonzero": 1},
         )
+        assert report.checks[-1].degree == "x1^2*x2^2"
         assert [c.status for c in report.checks[1:-1]] == ["pass"] * 5

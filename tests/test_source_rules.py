@@ -51,14 +51,16 @@ def test_koszul_oracle_is_independent_of_the_builders():
 def test_verify_never_computes_lattice_covers():
     """verify finds a lower cover of each degree from its cell masks.
 
-    `LcmLattice.covers` costs as much as the whole acyclicity kernel, so
-    resolution.py must not read it under any name or attribute.
+    `LcmLattice.lower_covers` and its inverse `covers` compute every cover
+    of the lattice, which verify does not need, so resolution.py must not
+    read either under any name or attribute.
     """
     path = Path(__file__).parents[1] / "src" / "borelcell" / "resolution.py"
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         # attributes, names, imported names and strings (getattr, __dict__)
         names = [getattr(node, k, None) for k in ("attr", "id", "name", "value")]
-        assert "covers" not in names, f"resolution.py:{getattr(node, 'lineno', '?')}"
+        for name in ("covers", "lower_covers"):
+            assert name not in names, f"resolution.py:{getattr(node, 'lineno', '?')}"
 
 
 def test_package_exports_the_readme_library():
