@@ -44,7 +44,7 @@ from .builders import borel_complex, induced_complex, power_complex
 from .exact import Field
 from .koszul import betti_via_koszul
 from .lattice import build_lattice, is_ranked, natural_label_check
-from .monomials import VarRange, canonical_key, parse_monomial
+from .monomials import VarRange, _exps_text, canonical_key, parse_monomial
 from .resolution import (
     CheckResult,
     betti_from_cells,
@@ -168,6 +168,8 @@ def _ideal_config(I: BorelIdeal) -> dict:
 
 def _run_verify(ns: argparse.Namespace) -> int:
     X = import_json(ns.in_path)
+    if ns.vars is not None and ns.vars != X.n:
+        raise ValueError(f"--vars {ns.vars} does not match the file's vars: {X.n}")
     if ns.ideal is not None or ns.borel is not None or ns.mono is not None:
         n, kind, gens = _ideal_triple(ns)
         I = _equal_degree_ideal(n, kind, gens)
@@ -309,12 +311,15 @@ def _run_lattice(ns: argparse.Namespace) -> int:
         }
         rc = 0
     if ns.out:
-        text = {e: e.canonical() for e in L.sorted_elements}
+        upper: dict[tuple[int, ...], list[str]] = {e: [] for e in L.exps}
+        for b, cs in L.lower_covers.items():  # canonical order
+            for c in cs:
+                upper[c].append(_exps_text(b))
         body = {
             "vars": n,
             "atoms": config["atoms"],
-            "elements": list(text.values()),
-            "covers": {text[e]: [text[c] for c in L.covers[e]] for e in text},
+            "elements": [_exps_text(e) for e in L.exps],
+            "covers": {_exps_text(e): cs for e, cs in upper.items()},
             "result": result,
         }
         _write_report(ns.out, config, body)

@@ -1,19 +1,20 @@
 """The lcm lattice of a monomial ideal.
 
 Elements are the unit (bottom) together with the lcms of all nonempty sets
-of minimal generators, ordered by divisibility.  A tuple b above the bottom
-is one exactly when, for every v with b_v > 0, some generator dividing x^b
-has exponent b_v in v: then b is the lcm of the generators dividing it.  So
-the lattice is enumerated, not closed under joins: candidates are built
+of minimal generators, ordered by divisibility.  One rule, `_is_element`,
+decides membership: a tuple b is an element exactly when, for every v with
+b_v > 0, some generator dividing x^b has exponent b_v in v; then b is the
+lcm of the generators dividing it (the bottom passes vacuously).  So the
+lattice is enumerated, not closed under joins: candidates are built
 depth-first over the variables, each exponent one the generators have in
-that variable, carrying the bitmask of generators dividing the prefix (ANDs
-of the "exponent <= k" masks).  A branch is pruned when that mask is empty
-or none of it has exponent exactly e in v; each leaf takes the full test.
+that variable, carrying the bitmask of generators dividing the prefix
+(ANDs of the "exponent <= k" masks).  A branch is pruned when none of that
+mask has exponent exactly e in v; each leaf takes the membership rule.
 Both input kinds take this path: a BorelIdeal contributes its expanded
 generators, which go through the same checks and minimalization as a
-generator list.  The lattice keeps its elements as canonically sorted
-exponent tuples, which `verify` and the Koszul oracle read; `elements`
-and `sorted_elements` are Monomial views, built on first use.
+generator list.  The lattice is its canonically sorted exponent tuples
+plus those masks, computed once; Monomials appear only in what the API
+returns.
 
 Covers come from the same masks, with no joins.  For b above the bottom and
 each v with b_v > 0, let live_v be the atoms dividing x^(b - e_v) and c_v
@@ -22,9 +23,15 @@ with live_v inside the "exponent <= k" mask of w.  Every element c < b
 divides x^(b - e_v) for some v, so the atoms below c lie in live_v and c
 divides c_v.  The lower covers of b are therefore the divisibility-maximal
 c_v, at most n of them, and c_u divides c_v exactly when live_u is a subset
-of live_v.  The rule holds for any monomial ideal.  `lower_covers` maps
-each element above the bottom to its lower covers; `covers`, its inverse as
-Monomial views, serves only `--out` and the chain listing.
+of live_v.  The rule holds for any monomial ideal.  `_lower_covers` applies
+it to one element; `lower_covers` maps every element above the bottom to
+its lower covers, for rankedness and `lattice --out`.
+
+Intervals stay local: [lo, hi] is walked down from hi through
+`_lower_covers`, keeping the covers lo divides.  Every element of the
+interval lies on a cover path down from hi, so the walk reaches exactly the
+interval, and the chain count, the chain listing and the labels read only
+the covers it found.
 
 Rankedness: with equigenerated atoms the degree criterion is tried first,
 every cover above the bottom raises degree by exactly one.  It is
@@ -46,14 +53,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import and_, le
+from operator import and_, getitem, gt, le, lt
 
 from .borel import BorelIdeal
 from .monomials import (
     Monomial,
     _below_masks,
     _exps_key,
-    lcm_many,
     minimal_under_divisibility,
     unit,
 )
@@ -77,77 +83,75 @@ class ChainBudgetExceeded(ValueError):
     """Too much input for an enumeration budget; the CLI exits 2 on it."""
 
 
+def _is_element(below, b: tuple[int, ...]) -> bool:
+    """The membership rule of the module docstring; below[v][k] is the mask
+    of atoms with exponent at most k in v."""
+    try:
+        div = reduce(and_, map(getitem, below, b))
+    except IndexError:  # an exponent larger than every atom's
+        return False
+    return all(div & ~ms[e - 1] for ms, e in zip(below, b) if e)
+
+
+def _lower_covers(below, b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The elements the element b covers, by the module docstring's rule."""
+    div = reduce(and_, map(getitem, below, b))
+    lives = {div & ms[e - 1] for ms, e in zip(below, b) if e}
+    covs = []
+    for live in lives:
+        if any(other != live and live | other == other for other in lives):
+            continue
+        c = []
+        for ms, k in zip(below, b):
+            while k and live & ms[k - 1] == live:
+                k -= 1
+            c.append(k)
+        covs.append(tuple(c))
+    return tuple(covs)
+
+
 @dataclass(frozen=True)
 class LcmLattice:
     n: int
     atoms: tuple[Monomial, ...]
     exps: tuple[tuple[int, ...], ...]  # canonically sorted, the bottom first
+    below: tuple[tuple[int, ...], ...]  # the atoms' "exponent <= k" masks
 
     @property
     def bottom(self) -> Monomial:
         return unit(self.n)
 
-    @cached_property
+    @property
     def top(self) -> Monomial:
-        return lcm_many(self.atoms)
+        return Monomial(self.exps[-1])
 
     def __contains__(self, m: Monomial) -> bool:
-        return m in self.elements
+        return m.n == self.n and _is_element(self.below, m.exps)
 
     def __len__(self) -> int:
         return len(self.exps)
 
     @cached_property
-    def sorted_elements(self) -> tuple[Monomial, ...]:
-        return tuple(map(Monomial, self.exps))
-
-    @cached_property
-    def elements(self) -> frozenset[Monomial]:
-        return frozenset(self.sorted_elements)
-
-    @cached_property
     def lower_covers(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """Map b -> the elements b covers, for every b above the bottom, by
-        the rule in the module docstring."""
-        below = _below_masks([a.exps for a in self.atoms], self.n)
-        out = {}
-        for b in self.exps[1:]:
-            div = reduce(and_, (ms[e] for ms, e in zip(below, b)))
-            lives = {div & ms[e - 1] for ms, e in zip(below, b) if e}
-            covs = []
-            for live in lives:
-                if any(other != live and live | other == other for other in lives):
-                    continue
-                c = []
-                for ms, k in zip(below, b):
-                    while k and live & ms[k - 1] == live:
-                        k -= 1
-                    c.append(k)
-                covs.append(tuple(c))
-            out[b] = tuple(covs)
-        return out
+        """Map b -> the elements b covers, for every b above the bottom."""
+        return {b: _lower_covers(self.below, b) for b in self.exps[1:]}
 
-    @cached_property
-    def covers(self):
-        """Map m -> tuple of elements covering m, canonically ordered."""
-        view = dict(zip(self.exps, self.sorted_elements))
-        out = {m: [] for m in self.sorted_elements}
-        for b, cs in self.lower_covers.items():  # canonical order
-            for c in cs:
-                out[view[c]].append(view[b])
-        return {m: tuple(cs) for m, cs in out.items()}
-
-    def interval(self, lo: Monomial, hi: Monomial) -> tuple[tuple[int, ...], ...]:
-        """The exponent tuples of [lo, hi], canonically ordered."""
-        if lo not in self.elements or hi not in self.elements:
+    def interval(self, lo: Monomial, hi: Monomial) -> dict:
+        """Map each element of [lo, hi], canonically ordered, to its lower
+        covers inside [lo, hi], found by a walk down from hi."""
+        if lo not in self or hi not in self:
             raise ValueError("interval endpoints must be lattice elements")
         if not lo.divides(hi):
             raise ValueError(f"{lo} does not divide {hi}")
-        return tuple(
-            e
-            for e in self.exps
-            if all(map(le, lo.exps, e)) and all(map(le, e, hi.exps))
-        )
+        down, todo = {}, [hi.exps]
+        while todo:
+            b = todo.pop()
+            if b not in down:
+                down[b] = tuple(
+                    c for c in _lower_covers(self.below, b) if all(map(le, lo.exps, c))
+                )
+                todo.extend(down[b])
+        return {b: down[b] for b in sorted(down, key=_exps_key)}
 
 
 def build_lattice(gens) -> LcmLattice:
@@ -162,9 +166,7 @@ def build_lattice(gens) -> LcmLattice:
         raise ValueError("unit generator makes the whole ring")
     atoms = minimal_under_divisibility(gens)
     rows = [a.exps for a in atoms]
-    below = _below_masks(rows, n)
-    # exact[v][k]: atoms with exponent exactly k in variable v
-    exact = [[m ^ (ms[k - 1] if k else 0) for k, m in enumerate(ms)] for ms in below]
+    below = tuple(map(tuple, _below_masks(rows, n)))
     values = [sorted({e[v] for e in rows}) for v in range(n)]
     elements = [(0,) * n]
 
@@ -173,16 +175,16 @@ def build_lattice(gens) -> LcmLattice:
         # exponent (at e = 0, every atom below it does)
         v = len(prefix)
         if v == n:
-            if all(live & x[e] for x, e in zip(exact, prefix)):
+            if _is_element(below, prefix):
                 elements.append(prefix)
             return
         for e in values[v]:
             sub = live & below[v][e]
-            if sub & exact[v][e]:
+            if sub & ~(below[v][e - 1] if e else 0):
                 extend(prefix + (e,), sub)
 
     extend((), (1 << len(atoms)) - 1)
-    return LcmLattice(n=n, atoms=atoms, exps=tuple(sorted(elements, key=_exps_key)))
+    return LcmLattice(n, atoms, tuple(sorted(elements, key=_exps_key)), below)
 
 
 @dataclass(frozen=True)
@@ -236,38 +238,32 @@ def is_ranked(L: LcmLattice) -> RankedReport:
     )
 
 
-def _chain_count(L: LcmLattice, lo: Monomial, hi: Monomial) -> int:
-    """The number of maximal chains of [lo, hi], in one pass up the interval:
-    canonical order lists every element after those below it."""
-    inside = L.interval(lo, hi)  # validates endpoints; lo sorts first
-    count = {lo.exps: 1}
-    for e in inside[1:]:
-        count[e] = sum(count.get(c, 0) for c in L.lower_covers[e])
-    return count[hi.exps]
-
-
 def maximal_chains(
     L: LcmLattice, lo: Monomial, hi: Monomial
 ) -> list[tuple[Monomial, ...]]:
-    """All maximal chains of [lo, hi], each listed bottom-up; an interval
-    with more than CHAIN_BUDGET of them is rejected before any is listed."""
-    if _chain_count(L, lo, hi) > CHAIN_BUDGET:
+    """All maximal chains of [lo, hi], each listed bottom-up, in
+    lexicographic canonical order; an interval with more than CHAIN_BUDGET
+    of them is rejected before any is listed."""
+    down = L.interval(lo, hi)
+    # canonical order lists every element after those it covers, hi last;
+    # lo alone covers nothing inside
+    count: dict[tuple[int, ...], int] = {}
+    for b, cs in down.items():
+        count[b] = sum(count[c] for c in cs) or 1
+    if count[hi.exps] > CHAIN_BUDGET:
         raise ChainBudgetExceeded(f"more than {CHAIN_BUDGET} maximal chains")
-    out: list[tuple[Monomial, ...]] = []
-    stack: list[Monomial] = [lo]
+    chains: list[tuple[tuple[int, ...], ...]] = []
 
-    def walk(cur: Monomial) -> None:
-        if cur == hi:
-            out.append(tuple(stack))
-            return
-        for c in L.covers[cur]:
-            if c.divides(hi):
-                stack.append(c)
-                walk(c)
-                stack.pop()
+    def walk(chain: tuple[tuple[int, ...], ...]) -> None:
+        if not down[chain[0]]:
+            chains.append(chain)
+        for c in down[chain[0]]:
+            walk((c, *chain))
 
-    walk(lo)
-    return out
+    walk((hi.exps,))
+    rank = {b: i for i, b in enumerate(down)}
+    chains.sort(key=lambda chain: [rank[b] for b in chain])
+    return [tuple(map(Monomial, chain)) for chain in chains]
 
 
 @dataclass(frozen=True)
@@ -292,25 +288,11 @@ def natural_label_check(L: LcmLattice, lo: Monomial, hi: Monomial) -> LabelChain
     chains = maximal_chains(L, lo, hi)
     labels = tuple(
         tuple(
-            b.quotient(a).max_index() for a, b in zip(chain, chain[1:])
+            max(v for v, (x, y) in enumerate(zip(a.exps, b.exps), 1) if y > x)
+            for a, b in zip(chain, chain[1:])
         )
         for chain in chains
     )
-    increasing = tuple(
-        i
-        for i, ls in enumerate(labels)
-        if all(a < b for a, b in zip(ls, ls[1:]))
-    )
-    decreasing = tuple(
-        i
-        for i, ls in enumerate(labels)
-        if all(a > b for a, b in zip(ls, ls[1:]))
-    )
-    return LabelChainReport(
-        lo=lo,
-        hi=hi,
-        chains=tuple(chains),
-        labels=labels,
-        increasing=increasing,
-        decreasing=decreasing,
-    )
+    increasing = tuple(i for i, ls in enumerate(labels) if all(map(lt, ls, ls[1:])))
+    decreasing = tuple(i for i, ls in enumerate(labels) if all(map(gt, ls, ls[1:])))
+    return LabelChainReport(lo, hi, tuple(chains), labels, increasing, decreasing)

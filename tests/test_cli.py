@@ -236,6 +236,27 @@ class TestVerify:
         assert rc == 2
         assert "vertex labels" in err
 
+    def test_vars_must_match_the_file_without_an_ideal(self, capsys, tmp_path):
+        src = tmp_path / "p33.json"
+        run(capsys, "complex", "P", "--vars", "3", "--degree", "3", "--out", str(src))
+        rc, out, err = run(capsys, "verify", "--in", str(src), "--vars", "7")
+        assert (rc, out, err) == (
+            2,
+            "",
+            "error: --vars 7 does not match the file's vars: 3\n",
+        )
+
+    def test_vars_must_match_the_file_with_an_ideal(self, capsys, tmp_path):
+        path = self.write_q(tmp_path)
+        rc, out, err = run(
+            capsys, "verify", "--in", str(path), "--vars", "4", "--borel", "d^3"
+        )
+        assert (rc, out, err) == (
+            2,
+            "",
+            "error: --vars 4 does not match the file's vars: 3\n",
+        )
+
     def test_non_minimal_complex_fails(self, capsys, tmp_path):
         path = tmp_path / "taylor.json"
         gens = [parse_monomial(t, 2) for t in ("a^2", "a*b", "b^2")]

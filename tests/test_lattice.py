@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import random
 import sys
 import types
 from operator import le
@@ -19,6 +20,7 @@ from borelcell.lattice import (
     natural_label_check,
 )
 from borelcell.monomials import (
+    Monomial,
     canonical_key,
     lcm_many,
     monomials_of_degree,
@@ -30,6 +32,11 @@ from references import random_borel_minimal
 
 def m(text, n=3):
     return parse_monomial(text, n)
+
+
+def divides(a, b):
+    """a | b on exponent tuples."""
+    return all(map(le, a, b))
 
 
 def mixed_lattice():
@@ -61,10 +68,11 @@ borel_ideals = st.sampled_from(
 class TestBuildLattice:
     def test_two_variables(self):
         L = build_lattice([m("a", 2), m("b", 2)])
-        assert L.elements == {unit(2), m("a", 2), m("b", 2), m("a*b", 2)}
+        assert L.exps == ((0, 0), (1, 0), (0, 1), (1, 1))
         assert L.bottom == unit(2) and L.top == m("a*b", 2)
         assert len(L) == 4
         assert m("a", 2) in L and m("a^2", 2) not in L
+        assert L.bottom in L and m("a", 3) not in L
 
     def test_borel_ideal_input(self):
         L = build_lattice(expand_principal(m("bc")))
@@ -86,7 +94,7 @@ class TestBuildLattice:
             for k in range(1, len(L.atoms) + 1)
             for combo in itertools.combinations(L.atoms, k)
         }
-        assert L.elements == joins | {L.bottom}
+        assert set(map(Monomial, L.exps)) == joins | {L.bottom}
 
     @given(borel_ideals)
     @example(random_borel_minimal(4, 3, 2, seed=0))
@@ -95,7 +103,7 @@ class TestBuildLattice:
         L = build_lattice(I)
         K = build_lattice(sorted(I.expanded, key=canonical_key))
         assert L.atoms == K.atoms
-        assert L.elements == K.elements
+        assert L.exps == K.exps
 
     def test_atoms_are_minimalized(self):
         L = build_lattice([m("a*b", 2), m("a", 2)])
@@ -103,34 +111,40 @@ class TestBuildLattice:
 
     def test_cover_properties(self):
         L = build_lattice(expand_principal(m("bc")))
-        for e in L.sorted_elements:
-            covs = L.covers[e]
+        assert list(L.lower_covers) == list(L.exps[1:])
+        for b, covs in L.lower_covers.items():
             assert len(set(covs)) == len(covs)
             for c in covs:
-                assert e != c and e.divides(c)
+                assert c != b and divides(c, b) and c in L.exps
             for c, d in itertools.permutations(covs, 2):
-                assert not c.divides(d)
+                assert not divides(c, d)
 
     def test_covers_are_complete_on_the_mixed_lattice(self):
-        # c covers e iff e | c, e != c, and no element lies strictly between
+        # b covers c iff c | b, c != b, and no element lies strictly between
         L = mixed_lattice()
-        for e in L.sorted_elements:
-            above = [c for c in L.sorted_elements if c != e and e.divides(c)]
+        for b in L.exps[1:]:
+            below = [c for c in L.exps if c != b and divides(c, b)]
             expected = [
                 c
-                for c in above
-                if not any(k != c and k.divides(c) for k in above)
+                for c in below
+                if not any(k != c and divides(c, k) for k in below)
             ]
-            assert L.covers[e] == tuple(expected)
+            assert sorted(L.lower_covers[b]) == sorted(expected)
 
     def test_interval(self):
         L = build_lattice(expand_principal(m("bc")))
         lo, hi = m("a*b"), m("a^2*b^2*c")
         inside = L.interval(lo, hi)
-        assert inside[0] == lo.exps and hi.exps in inside
-        assert inside == tuple(
-            e.exps for e in L.sorted_elements if lo.divides(e) and e.divides(hi)
-        )
+        assert list(inside) == [
+            e for e in L.exps if divides(lo.exps, e) and divides(e, hi.exps)
+        ]
+        assert next(iter(inside)) == lo.exps and list(inside)[-1] == hi.exps
+        # each element maps to its lower covers that lie in the interval
+        assert inside[lo.exps] == ()
+        for b in list(inside)[1:]:
+            assert sorted(inside[b]) == sorted(
+                c for c in L.lower_covers[b] if divides(lo.exps, c)
+            )
 
     def test_interval_validation(self):
         L = build_lattice(expand_principal(m("bc")))
@@ -164,7 +178,7 @@ class TestIsRanked:
         # B_2 is ranked although the cover a^2 < a^2*b^2 raises degree by 2:
         # the degree test can only confirm rankedness
         L = build_lattice([m("a^2", 2), m("b^2", 2)])
-        assert m("a^2*b^2", 2) in L.covers[m("a^2", 2)]
+        assert (2, 0) in L.lower_covers[(2, 2)]
         assert is_ranked(L) == RankedReport(True, "chains")
 
     def test_unranked_equigenerated_lattice(self):
@@ -222,15 +236,20 @@ def all_borel_ideals(n, d):
 
 
 def all_pairs_is_ranked(L):
-    """Rankedness by the all-pairs chain-length table over every interval;
-    unit degree steps confirm it for equigenerated atoms."""
+    """Rankedness by the all-pairs chain-length table over every interval,
+    on the covers of the join-and-filter reference; unit degree steps
+    confirm it for equigenerated atoms."""
+    upper = {
+        Monomial(e): tuple(map(Monomial, cs)) for e, cs in join_filter_covers(L).items()
+    }
+    elements = list(upper)  # canonically ordered
     if len({a.degree for a in L.atoms}) == 1 and all(
-        c.degree == x.degree + 1 for x in L.sorted_elements[1:] for c in L.covers[x]
+        c.degree == x.degree + 1 for x in elements[1:] for c in upper[x]
     ):
         return RankedReport(True, "degree")
     memo = {}
-    for lo in sorted(L.sorted_elements, key=lambda e: -e.degree):
-        for hi in L.sorted_elements:
+    for lo in sorted(elements, key=lambda e: -e.degree):
+        for hi in elements:
             if not lo.divides(hi):
                 continue
             if lo == hi:
@@ -238,7 +257,7 @@ def all_pairs_is_ranked(L):
                 continue
             memo[(lo, hi)] = frozenset(
                 l + 1
-                for c in L.covers[lo]
+                for c in upper[lo]
                 if c.divides(hi)
                 for l in memo[(c, hi)]
             )
@@ -250,7 +269,7 @@ def all_pairs_is_ranked(L):
         return RankedReport(True, "chains")
     lo, hi = bad[0]
     jumps = sorted(
-        ((x, c) for x in L.sorted_elements for c in L.covers[x]
+        ((x, c) for x in elements for c in upper[x]
          if c.degree >= x.degree + 2),
         key=lambda p: (p[0] == L.bottom, canonical_key(p[0]), canonical_key(p[1])),
     )
@@ -348,7 +367,18 @@ class TestMembershipAgainstClosure:
     def test_same_elements_as_the_closure(self, gens):
         L = build_lattice(gens)
         assert set(L.exps) == closure_lattice(gens)
-        assert L.sorted_elements == tuple(sorted(L.elements, key=canonical_key))
+        assert list(L.exps) == sorted(L.exps, key=lambda e: canonical_key(Monomial(e)))
+
+    @given(st.one_of(generator_lists, borel_ideals, mixed_borel))
+    @example(mixed_lattice().atoms)
+    @settings(max_examples=60, deadline=None)
+    def test_membership_rule_on_every_tuple_up_to_the_top(self, gens):
+        # one past the top in each variable, so exponents no atom has are
+        # tested too
+        L = build_lattice(gens)
+        elements = set(L.exps)
+        box = itertools.product(*(range(k + 2) for k in L.top.exps))
+        assert all((Monomial(b) in L) == (b in elements) for b in box)
 
 
 def join_filter_covers(L):
@@ -375,9 +405,12 @@ def cover_relation(upper):
 
 
 def rule_covers(L):
-    upper = {m.exps: tuple(c.exps for c in cs) for m, cs in L.covers.items()}
-    pairs = sorted((c, b) for b, cs in L.lower_covers.items() for c in cs)
-    return upper, pairs
+    """cover_relation of the inverse of `lower_covers`."""
+    upper = {e: [] for e in L.exps}
+    for b, cs in L.lower_covers.items():  # canonical order
+        for c in cs:
+            upper[c].append(b)
+    return cover_relation({e: tuple(cs) for e, cs in upper.items()})
 
 
 COVER_CASES = {
@@ -445,6 +478,130 @@ class TestCoversAgainstJoins:
         assert disagree
 
 
+def reference_chains(upper, lo, hi):
+    """The maximal chains of [lo, hi] as exponent tuples, by a walk up the
+    upper covers `upper` from lo that keeps the covers dividing hi: each
+    chain bottom-up, in lexicographic canonical order."""
+    out, stack = [], [lo]
+
+    def walk(cur):
+        if cur == hi:
+            out.append(tuple(stack))
+            return
+        for c in upper[cur]:
+            if divides(c, hi):
+                stack.append(c)
+                walk(c)
+                stack.pop()
+
+    walk(lo)
+    return out
+
+
+def label_disagreements(module, L, upper, intervals):
+    """The intervals on which the chains or labels of `module` differ from
+    the walk over `upper`; a rejected interval counts as one."""
+    bad = []
+    for lo, hi in intervals:
+        chains = [tuple(map(Monomial, ch)) for ch in reference_chains(upper, lo, hi)]
+        labels = tuple(
+            tuple(b.quotient(a).max_index() for a, b in zip(ch, ch[1:]))
+            for ch in chains
+        )
+        try:
+            listed = module.maximal_chains(L, Monomial(lo), Monomial(hi))
+            report = module.natural_label_check(L, Monomial(lo), Monomial(hi))
+        except ValueError:
+            bad.append((lo, hi))
+            continue
+        if (listed, report.chains, report.labels) != (chains, tuple(chains), labels):
+            bad.append((lo, hi))
+    return bad
+
+
+def random_intervals(L, rng, count, gap=6):
+    """count random intervals [lo, hi] of L, hi at most gap degrees above
+    lo."""
+    out = []
+    for _ in range(count):
+        lo = rng.choice(L.exps)
+        above = [e for e in L.exps if divides(lo, e) and sum(e) - sum(lo) <= gap]
+        out.append((lo, rng.choice(above)))
+    return out
+
+
+# one edit each to the interval walk of borelcell.lattice: keep the covers
+# lo does not divide, or list the chains in walk order
+LABEL_MUTANTS = {
+    "keeps_covers_below_lo": (" if all(map(le, lo.exps, c))", ""),
+    "unsorted_chains": ("chains.sort(key=", "sorted(chains, key="),
+}
+
+
+class TestChainsAgainstJoins:
+    """The chains and labels read off the interval walk equal, in order,
+    the bottom-up walk over the join-and-filter covers it replaced."""
+
+    @given(
+        st.one_of(
+            generator_lists, wide_generator_lists, borel_ideals,
+            borel_of_mixed_degrees(5),
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_random_intervals(self, gens, rng):
+        L = build_lattice(gens)
+        upper = join_filter_covers(L)
+        assert label_disagreements(lattice, L, upper, random_intervals(L, rng, 3)) == []
+
+    @pytest.mark.parametrize("case", COVER_CASES)
+    def test_fixed_ideals(self, case):
+        L = build_lattice(COVER_CASES[case]())
+        intervals = random_intervals(L, random.Random(case), 20)
+        assert label_disagreements(lattice, L, join_filter_covers(L), intervals) == []
+
+    def test_whole_mixed_lattice(self):
+        L = mixed_lattice()
+        interval = [(L.exps[0], L.exps[-1])]
+        assert label_disagreements(lattice, L, join_filter_covers(L), interval) == []
+
+    @pytest.mark.parametrize("mutant", LABEL_MUTANTS)
+    def test_a_mutant_walk_disagrees(self, monkeypatch, mutant):
+        module = mutant_lattice(monkeypatch, *LABEL_MUTANTS[mutant])
+
+        def disagrees(case):
+            L = module.build_lattice(COVER_CASES[case]())
+            intervals = random_intervals(L, random.Random(case), 20)
+            return label_disagreements(module, L, join_filter_covers(L), intervals)
+
+        # stops at the first case that disagrees: without the filter, a walk
+        # from a high hi lists chains from the bottom up to the budget
+        assert any(map(disagrees, ("readme_mixed", "chains", "P(4,4)")))
+
+
+class TestIntervalLocality:
+    """A labels check computes the lower covers of its interval's elements
+    only, each once, and never those of the whole lattice."""
+
+    @pytest.mark.parametrize(
+        "lo, hi", [("1", "x1^2*x2^2"), ("x1^2*x2^2", "x1^3*x2^3*x3")]
+    )
+    def test_labels_read_only_their_interval(self, monkeypatch, lo, hi):
+        L = build_lattice(expand_principal(m("x6^4", 6)))
+        lo, hi = m(lo, 6), m(hi, 6)
+        calls = []
+        helper = lattice._lower_covers
+        monkeypatch.setattr(
+            lattice, "_lower_covers", lambda below, b: calls.append(b) or helper(below, b)
+        )
+        report = natural_label_check(L, lo, hi)
+        inside = {e for e in L.exps if divides(lo.exps, e) and divides(e, hi.exps)}
+        assert len(calls) == len(set(calls)) and set(calls) <= inside
+        assert "lower_covers" not in vars(L)
+        assert report.chains and all(ch[0] == lo and ch[-1] == hi for ch in report.chains)
+
+
 class TestChains:
     def test_two_variable_square(self):
         L = build_lattice([m("a", 2), m("b", 2)])
@@ -499,11 +656,11 @@ class TestChains:
 
 
 class TestLcmLatticeType:
-    def test_sorted_elements_are_sorted_by_degree_first(self):
+    def test_exps_are_sorted_by_degree_first(self):
         L = build_lattice(expand_principal(m("bc")))
-        degs = [e.degree for e in L.sorted_elements]
+        degs = [sum(e) for e in L.exps]
         assert degs == sorted(degs)
-        assert L.sorted_elements[0] == L.bottom
+        assert L.exps[0] == L.bottom.exps
 
     def test_frozen(self):
         L = build_lattice([m("a", 2), m("b", 2)])

@@ -51,15 +51,16 @@ def test_koszul_oracle_is_independent_of_the_builders():
 def test_verify_never_computes_lattice_covers():
     """verify finds a lower cover of each degree from its cell masks.
 
-    `LcmLattice.lower_covers` and its inverse `covers` compute every cover
-    of the lattice, which verify does not need, so resolution.py must not
-    read either under any name or attribute.
+    `LcmLattice.lower_covers` computes every cover of the lattice and
+    `lattice._lower_covers` those of one element, which verify does not
+    need, so resolution.py must not read either under any name or attribute,
+    nor `covers`, the name of their former inverse.
     """
     path = Path(__file__).parents[1] / "src" / "borelcell" / "resolution.py"
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         # attributes, names, imported names and strings (getattr, __dict__)
         names = [getattr(node, k, None) for k in ("attr", "id", "name", "value")]
-        for name in ("covers", "lower_covers"):
+        for name in ("covers", "lower_covers", "_lower_covers"):
             assert name not in names, f"resolution.py:{getattr(node, 'lineno', '?')}"
 
 
