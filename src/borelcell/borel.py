@@ -13,12 +13,12 @@ every move x_t -> x_s is a chain of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .monomials import (
     Monomial,
     VarRange,
+    _Value,
     canonical_key,
     minimal_under_divisibility,
     parse_monomial,
@@ -65,18 +65,17 @@ def _step(e: tuple[int, ...], i: int, u: int) -> tuple[int, ...]:
     return e[:i] + (e[i] + u, e[i + 1] - u) + e[i + 2 :]
 
 
-@dataclass(frozen=True)
-class BorelIdeal:
+class BorelIdeal(_Value):
     """A Borel fixed ideal generated in one degree d.
 
     borel_gens lists the Borel-minimal generators, strictly rlex-descending;
     expanded is the full minimal monomial generating set G(I).
     """
 
-    n: int
-    d: int
-    borel_gens: tuple[Monomial, ...]
-    expanded: frozenset[Monomial]
+    __slots__ = _fields = ("n", "d", "borel_gens", "expanded")
+
+    def __init__(self, n: int, d: int, borel_gens: tuple, expanded: frozenset) -> None:
+        self._init(n, d, borel_gens, expanded)
 
     @classmethod
     def from_borel_gens(cls, n: int, gens) -> "BorelIdeal":

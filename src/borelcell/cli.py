@@ -21,12 +21,13 @@ spelling.
 The argument parser is built once per process, on the first call of main,
 and reused by later calls; the environment ($BORELCELL_FIELD, the default
 field of verify and betti) is still read on every call of those two.
+hashlib, which loads OpenSSL, is imported by the first report written
+(verify --report, lattice --out), not by `import borelcell.cli`.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -52,7 +53,7 @@ from .resolution import (
     check_minimal,
     verify_resolution,
 )
-from .serialize import export_json, import_json
+from .serialize import _array, _string, export_json, import_json
 
 __all__ = ["main"]
 
@@ -83,8 +84,23 @@ def _equal_degree_ideal(n: int, kind: str, gens) -> BorelIdeal:
 
 
 def _config_hash(config: dict) -> str:
+    import hashlib  # loads OpenSSL: only commands that write a report pay
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def _dumps(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) of a report, written
+    directly: an indent makes json fall back to its pure-Python encoder."""
+    if isinstance(value, str):
+        return _string(value)
+    sub = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_string(k)}: {_dumps(v, sub)}" for k, v in sorted(value.items())]
+        return _array(items, pad, "{}")
+    if isinstance(value, (list, tuple)):
+        return _array([_dumps(v, sub) for v in value], pad)
+    return json.dumps(value)
 
 
 def _write_report(path: str, config: dict, body: dict) -> None:
@@ -96,8 +112,7 @@ def _write_report(path: str, config: dict, body: dict) -> None:
     }
     doc.update(body)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_dumps(doc) + "\n")
 
 
 def _run_gen(ns: argparse.Namespace) -> int:
@@ -172,6 +187,10 @@ def _run_verify(ns: argparse.Namespace) -> int:
         raise ValueError(f"--vars {ns.vars} does not match the file's vars: {X.n}")
     if ns.ideal is not None or ns.borel is not None or ns.mono is not None:
         n, kind, gens = _ideal_triple(ns)
+        if n != X.n:  # --vars matched above; a spec's vars: may not
+            raise ValueError(
+                f"the spec's vars: {n} does not match the file's vars: {X.n}"
+            )
         I = _equal_degree_ideal(n, kind, gens)
     else:
         I = BorelIdeal.from_expanded(X.n, frozenset(X.vertex_labels))

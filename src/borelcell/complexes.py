@@ -33,12 +33,11 @@ cell lies in exactly two of its facets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, le
 from types import MappingProxyType
 
-from .monomials import Monomial, _bits, _exps_key
+from .monomials import Monomial, _bits, _exps_key, _set, _Value
 
 __all__ = [
     "Cell",
@@ -51,15 +50,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One cell of a finished complex, with oriented facet references."""
+class Cell(_Value):
+    """One cell of a finished complex: vertex ids and (facet id, sign) pairs."""
 
-    id: int
-    dim: int
-    vertices: tuple[int, ...]
-    label: Monomial
-    facets: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("id", "dim", "vertices", "label", "facets")
+
+    def __init__(self, id, dim, vertices, label: Monomial, facets) -> None:
+        _set(self, "id", id)
+        _set(self, "dim", dim)
+        _set(self, "vertices", vertices)
+        _set(self, "label", label)
+        _set(self, "facets", facets)
 
 
 class LabeledComplex:

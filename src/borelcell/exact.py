@@ -7,7 +7,7 @@ resolution checks and the Koszul oracle call into this one kernel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .monomials import _Value
 
 __all__ = ["Field", "rank_rationals", "rank_mod_p", "is_prime"]
 
@@ -97,15 +97,15 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(_Value):
     """The exact coefficient field: Q when p is None, else F_p."""
 
-    p: int | None = None
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self) -> None:
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int | None = None) -> None:
+        if p is not None and not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self._init(p)
 
     @classmethod
     def parse(cls, text: str) -> "Field":

@@ -19,13 +19,12 @@ the resolution checks, on independently built matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
 from .exact import Field
 from .lattice import build_lattice
-from .monomials import Monomial, _below_masks, _bits
+from .monomials import Monomial, _below_masks, _bits, _Value
 
 __all__ = [
     "SimplicialComplex",
@@ -35,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Value):
     """Faces as bitmasks, bit i - 1 standing for vertex i; downward closed.
 
     The void complex (no faces at all) is distinct from the complex whose
@@ -44,14 +42,15 @@ class SimplicialComplex:
     H_{-1} = k.
     """
 
-    masks: frozenset[int]
+    __slots__ = _fields = ("masks",)
 
-    def __post_init__(self) -> None:
-        for f in self.masks:
+    def __init__(self, masks: frozenset[int]) -> None:
+        for f in masks:
             if type(f) is not int or f < 0:
                 raise ValueError(f"a face must be a non-negative bitmask: {f!r}")
-            if any(f ^ (1 << i) not in self.masks for i in _bits(f)):
+            if any(f ^ (1 << i) not in masks for i in _bits(f)):
                 raise ValueError("face family is not downward closed")
+        self._init(masks)
 
     @property
     def is_void(self) -> bool:

@@ -51,7 +51,6 @@ chains listed; past either, the CLI exits 2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_, getitem, gt, le, lt
 
@@ -60,6 +59,7 @@ from .monomials import (
     Monomial,
     _below_masks,
     _exps_key,
+    _Value,
     minimal_under_divisibility,
     unit,
 )
@@ -110,12 +110,13 @@ def _lower_covers(below, b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(covs)
 
 
-@dataclass(frozen=True)
-class LcmLattice:
-    n: int
-    atoms: tuple[Monomial, ...]
-    exps: tuple[tuple[int, ...], ...]  # canonically sorted, the bottom first
-    below: tuple[tuple[int, ...], ...]  # the atoms' "exponent <= k" masks
+class LcmLattice(_Value):
+    # exps canonically sorted, the bottom first; below: the atoms' "exponent
+    # <= k" masks.  No __slots__: the cached lower_covers needs a __dict__.
+    _fields = ("n", "atoms", "exps", "below")
+
+    def __init__(self, n: int, atoms: tuple, exps: tuple, below: tuple) -> None:
+        self._init(n, atoms, exps, below)
 
     @property
     def bottom(self) -> Monomial:
@@ -187,12 +188,12 @@ def build_lattice(gens) -> LcmLattice:
     return LcmLattice(n, atoms, tuple(sorted(elements, key=_exps_key)), below)
 
 
-@dataclass(frozen=True)
-class RankedReport:
-    ranked: bool
-    criterion: str  # "degree" (equigenerated, unit cover steps) or "chains"
-    witness_cover: tuple[Monomial, Monomial] | None = None
-    witness_interval: tuple[Monomial, Monomial, tuple[int, ...]] | None = None
+class RankedReport(_Value):
+    # criterion: "degree" (equigenerated, unit cover steps) or "chains"
+    __slots__ = _fields = ("ranked", "criterion", "witness_cover", "witness_interval")
+
+    def __init__(self, ranked, criterion, witness_cover=None, witness_interval=None):
+        self._init(ranked, criterion, witness_cover, witness_interval)
 
     def __bool__(self) -> bool:
         return self.ranked
@@ -266,21 +267,19 @@ def maximal_chains(
     return [tuple(map(Monomial, chain)) for chain in chains]
 
 
-@dataclass(frozen=True)
-class LabelChainReport:
+class LabelChainReport(_Value):
     """Maximal chains of an interval with their edge labels, bottom-up.
 
     Each cover step m -> c is labeled by max_index(c / m).  A chain whose
     labels strictly increase bottom-up is the same walk as one whose labels
-    strictly decrease read from the top downward.
+    strictly decrease read from the top downward.  increasing and
+    decreasing are indices into chains.
     """
 
-    lo: Monomial
-    hi: Monomial
-    chains: tuple[tuple[Monomial, ...], ...]
-    labels: tuple[tuple[int, ...], ...]
-    increasing: tuple[int, ...] = field(default=())  # indices into chains
-    decreasing: tuple[int, ...] = field(default=())
+    __slots__ = _fields = ("lo", "hi", "chains", "labels", "increasing", "decreasing")
+
+    def __init__(self, lo, hi, chains, labels, increasing=(), decreasing=()) -> None:
+        self._init(lo, hi, chains, labels, increasing, decreasing)
 
 
 def natural_label_check(L: LcmLattice, lo: Monomial, hi: Monomial) -> LabelChainReport:

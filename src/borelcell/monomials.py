@@ -9,14 +9,14 @@ Inside the pipeline a monomial is its exponent tuple, and a `Monomial` is
 built, and validated, only where the API returns one.  This module owns
 the tuple helpers: the canonical sort key `_exps_key`, the text form
 `_exps_text`, the set-bit positions `_bits` of a mask and the per-variable
-"exponent <= k" masks `_below_masks`.
+"exponent <= k" masks `_below_masks`, and `_Value`, the base of the
+package's immutable types: plain classes, so an import generates no code.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from operator import or_
 
 __all__ = [
@@ -78,19 +78,64 @@ def _below_masks(rows, n: int) -> list[list[int]]:
     return below
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """A monomial x1^e1 * ... * xn^en given by its exponent vector."""
+_set = object.__setattr__  # for __init__: _Value.__setattr__ refuses
 
-    exps: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.exps, tuple):
-            object.__setattr__(self, "exps", tuple(self.exps))
-        if len(self.exps) < 1:
+class _Value:
+    """A frozen dataclass's methods, read off the fields named in `_fields`,
+    which a subclass's `__init__` sets once, by `_init` or `_set`."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self._key() == other._key() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle: __init__ takes the slots in order
+        names = type(self).__dict__.get("__slots__", self._fields)
+        return type(self), tuple(getattr(self, f) for f in names)
+
+
+class Monomial(_Value):
+    """A monomial x1^e1 * ... * xn^en given by its exponent vector; unordered.
+    Its hash, that of (exps,), fixes set order and so output order."""
+
+    __slots__ = _fields = ("exps",)
+
+    def __init__(self, exps) -> None:
+        if not isinstance(exps, tuple):
+            exps = tuple(exps)
+        if not exps:
             raise ValueError("ambient ring needs at least one variable")
-        if any(not isinstance(e, int) or e < 0 for e in self.exps):
-            raise ValueError(f"exponents must be non-negative integers: {self.exps!r}")
+        for e in exps:
+            if not isinstance(e, int) or e < 0:
+                raise ValueError(f"exponents must be non-negative integers: {exps!r}")
+        _set(self, "exps", exps)
+
+    def __eq__(self, other):
+        return self.exps == other.exps if type(other) is Monomial else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exps,))
 
     @property
     def n(self) -> int:
@@ -150,16 +195,15 @@ class Monomial:
         return f"Monomial({self.exps!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class VarRange:
+class VarRange(_Value):
     """The inclusive 1-based variable range x_lo .. x_hi."""
 
-    lo: int
-    hi: int
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.lo <= self.hi):
-            raise ValueError(f"need 1 <= lo <= hi, got lo={self.lo}, hi={self.hi}")
+    def __init__(self, lo: int, hi: int) -> None:
+        if not (1 <= lo <= hi):
+            raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
+        self._init(lo, hi)
 
     def indices(self) -> range:
         return range(self.lo, self.hi + 1)

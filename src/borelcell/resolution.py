@@ -80,7 +80,6 @@ rank       if nothing of D is left, X_{<=b} collapses onto the acyclic base
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, le
 
@@ -88,7 +87,7 @@ from .borel import BorelIdeal
 from .complexes import LabeledComplex
 from .exact import Field
 from .lattice import build_lattice
-from .monomials import Monomial, _below_masks, _bits, _exps_text
+from .monomials import Monomial, _below_masks, _bits, _exps_text, _set, _Value
 
 __all__ = [
     "ChainComplex",
@@ -104,8 +103,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(_Value):
     """The cellular differential, sparse over cell ids.
 
     dims[i] is the dimension of cell i, and columns[i] lists the
@@ -113,8 +111,10 @@ class ChainComplex:
     the differential's column for that cell.
     """
 
-    dims: tuple[int, ...]
-    columns: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = _fields = ("dims", "columns")
+
+    def __init__(self, dims: tuple, columns: tuple) -> None:
+        self._init(dims, columns)
 
 
 def chain_complex(X: LabeledComplex) -> ChainComplex:
@@ -160,12 +160,15 @@ def homology_dims(X: LabeledComplex, fld: Field) -> tuple[int, ...]:
     return _residual_homology(chain_complex(X), range(len(X.cells)), X.dim, fld)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass" or "fail"
-    exps: tuple[int, ...] | None = None  # the degree checked
-    witness: dict | None = None
+class CheckResult(_Value):
+    # status "pass" or "fail"; exps: the degree checked, if any
+    __slots__ = _fields = ("name", "status", "exps", "witness")
+
+    def __init__(self, name: str, status: str, exps=None, witness=None) -> None:
+        _set(self, "name", name)
+        _set(self, "status", status)
+        _set(self, "exps", exps)
+        _set(self, "witness", witness)
 
     @property
     def degree(self) -> str | None:
@@ -181,13 +184,15 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
-    ok: bool
-    field: str
-    checks: tuple[CheckResult, ...]
-    subject: LabeledComplex | None = field(default=None, compare=False, repr=False)
-    degrees: tuple = field(default=(), compare=False, repr=False)  # exponent tuples
+class ResolutionReport(_Value):
+    # equality, hash and repr ignore the subject complex and its degrees
+    __slots__ = ("ok", "field", "checks", "subject", "degrees")
+    _fields = ("ok", "field", "checks")
+
+    def __init__(self, ok, field: str, checks, subject=None, degrees=()) -> None:
+        self._init(ok, field, checks)
+        _set(self, "subject", subject)
+        _set(self, "degrees", degrees)
 
 
 def _acyclicity_checks(

@@ -56,11 +56,11 @@ def complex_to_dict(X: LabeledComplex) -> dict:
     }
 
 
-def _array(items, pad: str) -> str:
-    """Rendered items as json.dumps(indent=2) lays out a list that opens on
-    a line indented by pad."""
+def _array(items, pad: str, ends: str = "[]") -> str:
+    """Rendered items as json.dumps(indent=2) lays out a list (an object
+    with ends "{}") that opens on a line indented by pad."""
     inner = f",\n{pad}  ".join(items)
-    return f"[\n{pad}  {inner}\n{pad}]" if items else "[]"
+    return f"{ends[0]}\n{pad}  {inner}\n{pad}{ends[1]}" if items else ends
 
 
 def dumps(X: LabeledComplex) -> str:

@@ -257,6 +257,18 @@ class TestVerify:
             "error: --vars 4 does not match the file's vars: 3\n",
         )
 
+    def test_spec_vars_must_match_the_file(self, capsys, tmp_path):
+        src = tmp_path / "p32.json"
+        run(capsys, "complex", "P", "--vars", "3", "--degree", "2", "--out", str(src))
+        rc, out, err = run(
+            capsys, "verify", "--in", str(src), "--ideal", "vars: 4; borel: d^2"
+        )
+        assert (rc, out, err) == (
+            2,
+            "",
+            "error: the spec's vars: 4 does not match the file's vars: 3\n",
+        )
+
     def test_non_minimal_complex_fails(self, capsys, tmp_path):
         path = tmp_path / "taylor.json"
         gens = [parse_monomial(t, 2) for t in ("a^2", "a*b", "b^2")]
@@ -647,6 +659,55 @@ class TestGoldenArtifacts:
         rc, _, _ = run(capsys, "verify", "--in", str(src), "--report", str(report))
         assert rc == 0
         assert report.read_bytes() == (DATA / "verify_P33.json").read_bytes()
+
+
+class TestReportEncoding:
+    """--report and --out bytes are json.dumps(indent=2, sort_keys=True)
+    of the document plus a newline."""
+
+    @staticmethod
+    def assert_json_layout(path):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_failing_verify_report(self, capsys, tmp_path):
+        I = cli.BorelIdeal.from_borel_gens(3, [parse_monomial("bc", 3)])
+        src, report = tmp_path / "bad.json", tmp_path / "report.json"
+        export_json(drop_a_maximal_cell(borel_complex(I)), str(src))
+        rc, _, _ = run(capsys, "verify", "--in", str(src), "--report", str(report))
+        assert rc == 1
+        doc = json.loads(report.read_text())
+        assert [c["witness"] for c in doc["checks"] if "witness" in c]
+        self.assert_json_layout(report)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--check", "labels", "--interval", "1..a*b^2*c*d^2"],
+            ["--check", "labels", "--interval", "a*b..a*b"],
+            ["--check", "ranked"],
+        ],
+    )
+    def test_lattice_out(self, capsys, tmp_path, argv):
+        out = tmp_path / "lattice.json"
+        run(capsys, "lattice", *MIXED, *argv, "--out", str(out))
+        self.assert_json_layout(out)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            {"b": [], "a": {}, "c": [{}, [[]]]},
+            {"k\u00e9y": "v\u00e4l\"ue\n", "t": (1, -2), "u": [True, False, None]},
+            [{"z": 1, "y": {"x": [0, "1"]}}, "s", 3],
+            "top",
+            7,
+            None,
+        ],
+    )
+    def test_encoder_matches_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def single_edit_mutants(doc):

@@ -1,6 +1,5 @@
 import itertools
 import json
-from dataclasses import replace
 from functools import reduce
 from operator import or_
 from pathlib import Path
@@ -68,7 +67,7 @@ def flip_one_sign(X, dim):
     cells = list(X.cells)
     c = next(c for c in cells if c.dim == dim)
     (fid, sign), *rest = c.facets
-    cells[c.id] = replace(c, facets=((fid, -sign), *rest))
+    cells[c.id] = Cell(c.id, c.dim, c.vertices, c.label, ((fid, -sign), *rest))
     return SimpleNamespace(cells=tuple(cells), vertex_labels=X.vertex_labels, n=X.n)
 
 
@@ -223,9 +222,9 @@ class TestVerifyResolution:
         X.cells
         I = expand_principal(m("x5^3", 5))
         built = []
-        check = Monomial.__post_init__
+        check = Monomial.__init__
         monkeypatch.setattr(
-            Monomial, "__post_init__", lambda b: built.append(b.exps) or check(b)
+            Monomial, "__init__", lambda b, exps: built.append(exps) or check(b, exps)
         )
         report = verify_resolution(X, I)
         monkeypatch.undo()

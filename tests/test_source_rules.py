@@ -1,11 +1,14 @@
-"""Source rules of the package: standard library only, no asserts, and a
-package namespace that exports the documented library alone.
+"""Source rules of the package: standard library only, no asserts, a
+package namespace that exports the documented library alone, and a cold
+import that loads neither dataclasses nor hashlib.
 
 `python -O` strips assert statements, so an invariant written as one is
 silently unchecked; every check in the package raises instead.
 """
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,6 +33,31 @@ def test_stdlib_imports_and_no_asserts(path):
             continue
         for top in tops:
             assert top in sys.stdlib_module_names, f"non-stdlib import {top} at {where}"
+
+
+def test_cold_import_loads_no_dataclasses_and_no_hashlib():
+    """`import borelcell` runs before every command: dataclasses (with
+    inspect) costs code generation at import, hashlib loads OpenSSL, and
+    only a report needs the latter."""
+    heavy = ["dataclasses", "inspect", "hashlib", "_hashlib"]
+    code = (
+        "import sys, borelcell.cli, borelcell.serialize\n"
+        f"print(sorted(set({heavy!r}) & set(sys.modules)))"
+    )
+    # -S: no site module, so no .pth file of the environment imports anything
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    argv = [sys.executable, "-S", "-c", code]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "[]\n"
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
 
 
 def test_koszul_oracle_is_independent_of_the_builders():
