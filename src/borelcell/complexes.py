@@ -15,21 +15,31 @@ form directly.  Frozensets of `Monomial`s appear only at the boundary: the
 mappings convert once.
 
 Cell labels are the lcm of the vertex labels.  Boundary orientation signs
-are data: an import supplies one per (cell, facet) pair, while a built
-complex leaves them to be derived by a breadth-first walk of each cell's
-facet-ridge graph from its lowest facet.  Either way one routine,
-`_finalize`, runs lazily once per complex.  It numbers the cells by
-(dimension, sorted vertex ids) and indexes each dimension's cells by their
-lowest vertex, so the faces of a cell are sought only among cells whose
-lowest vertex lies in it.  It derives the facet relation, requires
-supplied signs to cover exactly that relation, and checks every sign
-against every codimension-two cancellation constraint:
+are data: an import supplies one per (cell, facet) pair, as a map
+{cell mask: {facet mask: sign}}, while a built complex leaves them to be
+derived.  Either way one routine, `_finalize`, runs lazily once per
+complex, on integer bitmasks throughout.  It numbers the cells by
+(dimension, sorted vertex ids), so each dimension's cells hold a contiguous
+range of ids, and it keeps, per dimension and vertex, the star: a mask of
+the cells of that dimension that contain the vertex.  The AND of the stars
+one dimension up over a cell's vertices is the set of its cofacets; that
+gives the facet relation, which supplied signs must cover exactly.  Each
+cell's facets are then a ridge mask apiece, and the checks are mask algebra.
+Regularity is the diamond property: every (d-2)-cell inside a d-cell c is
+a ridge of c lying in exactly two of its facets.  Bit-sliced counters over
+the facets' ridge masks find the ridges met once, twice and more often.
+A (d-2)-cell r lies in a facet of c iff c is a cofacet of one of r's
+cofacets, so each r is tested against all the d-cells that contain it at
+once: the AND of the stars two dimensions up over r's vertices.  Signs
+are derived from +1 on the lowest facet by propagation across shared
+ridges, and checked against every codimension-two cancellation constraint:
 
     sign(c, f) * sign(f, r) + sign(c, f') * sign(f', r) == 0
 
-whenever r is a ridge of c lying in the two facets f and f'.  Regularity is
-enforced on the same walk through the diamond property: every ridge of a
-cell lies in exactly two of its facets.
+whenever r is a ridge of c lying in the two facets f and f'.  With two
+facets per ridge, that holds on all ridges of c iff the facets' ridge masks,
+each split by sign and signed by its facet's sign in c, cover every ridge
+once with +1 and once with -1.
 """
 from __future__ import annotations
 
@@ -63,6 +73,12 @@ class Cell(_Value):
         _set(self, "facets", facets)
 
 
+# the cached properties of a LabeledComplex that its other state determines
+_RECOMPUTED = frozenset(
+    ("_vertex_ids", "faces", "_label_exps", "labels", "vertex_labels")
+)
+
+
 class LabeledComplex:
     """A monomial-labeled regular cell complex.
 
@@ -85,15 +101,16 @@ class LabeledComplex:
         mask = {f: sum(1 << vid[v.exps] for v in f) for f in faces}
         if signs is not None:
             # a key that is no face maps to -1, which no cell matches
-            signs = {
-                (mask.get(f, -1), mask.get(t, -1)): s for (f, t), s in signs.items()
-            }
+            per_cell: dict[int, dict[int, int]] = {}
+            for (f, t), s in signs.items():
+                per_cell.setdefault(mask.get(f, -1), {})[mask.get(t, -1)] = s
+            signs = per_cell
         self._setup(n, tuple(verts), {mask[f]: d for f, d in faces.items()}, signs)
 
     @classmethod
     def _from_masks(cls, n: int, verts, dims, signs=None) -> "LabeledComplex":
         """The integer form: canonically sorted vertex exponent tuples, a
-        {face mask: dim} map and optional {(cell mask, facet mask): sign}."""
+        {face mask: dim} map and optional {cell mask: {facet mask: sign}}."""
         X = cls.__new__(cls)
         X._setup(n, verts, dims, signs)
         return X
@@ -146,6 +163,12 @@ class LabeledComplex:
 
     __hash__ = None  # mutable caches; compare by content only
 
+    def __getstate__(self) -> dict:
+        # copy and pickle leave out the caches that are recomputed on demand,
+        # mapping proxies among them; `cells` stays, since once it is read
+        # it holds the only copy of supplied signs
+        return {k: v for k, v in self.__dict__.items() if k not in _RECOMPUTED}
+
     def __len__(self) -> int:
         return len(self._dims)
 
@@ -197,46 +220,139 @@ class LabeledComplex:
         keys.sort(key=dims.__getitem__)  # stable: by dimension, then vertex ids
         fv = self.f_vector()
         edges = range(sum(fv[:1]), sum(fv[:2]))  # the ids of the 1-cells
-        # low[d][v]: ids of the d-cells whose lowest vertex is v, ascending
-        low: list[dict[int, list[int]]] = [{} for _ in range(self.dim + 1)]
+        first = [0]  # first[d]: the id of the first d-cell
+        for k in fv:
+            first.append(first[-1] + k)
+        # star[d][v]: the d-cells that contain vertex v, as a mask over
+        # offsets from first[d]; the AND over a cell's vertices of the stars
+        # one dimension up is the set of its cofacets
+        star = [[0] * len(self._verts) for _ in fv]
         for i, f in enumerate(keys):
-            low[dims[f]].setdefault(verts_of[f][0], []).append(i)
+            s, bit = star[dims[f]], 1 << (i - first[dims[f]])
+            for v in verts_of[f]:
+                s[v] |= bit
 
-        def inside(i: int, d: int) -> list[int]:
-            # ascending: ids order d-cells by sorted vertex ids, lowest first
-            f = keys[i]
-            by_low = low[d]
-            return [
-                t for v in verts_of[f] for t in by_low.get(v, ()) if not keys[t] & ~f
-            ]
-
+        # facets[c]: the ids of c's facets, ascending; below[c]: the same
+        # facets as a mask over offsets from first[dim - 1]; cof[t]: the
+        # cofacets of t as a mask over offsets from first[dim + 1]
         facets: list[list[int]] = [[] for _ in keys]
+        below = [0] * len(keys)
+        cof = [0] * len(keys)
+        # torn[d]: the d-cells c with a (d-2)-cell inside them that lies in
+        # no facet of c; r lies in a facet of c iff c is a cofacet of one of
+        # r's cofacets
+        torn = [0] * len(fv)
+        for d in range(len(fv) - 2, -1, -1):  # top down: cof one dim up is known
+            up, above = star[d + 1], first[d + 1]
+            up2 = star[d + 2] if d + 2 < len(fv) else None
+            for i in range(first[d], above):
+                vs = verts_of[keys[i]]
+                m = up[vs[0]]
+                for v in vs[1:]:
+                    m &= up[v]
+                cof[i] = m
+                bit = 1 << (i - first[d])
+                reach = 0
+                while m:
+                    low = m & -m
+                    c = above + low.bit_length() - 1
+                    facets[c].append(i)
+                    below[c] |= bit
+                    reach |= cof[c]
+                    m ^= low
+                if up2 is not None:
+                    m = up2[vs[0]]
+                    for v in vs[1:]:
+                        m &= up2[v]
+                    torn[d + 2] |= m & ~reach
+        del star, cof
+
         for i in range(edges.start, len(keys)):
             d = dims[keys[i]]
-            facets[i] = fs = inside(i, d - 1)
-            if len(fs) < d + 1:
+            if len(facets[i]) < d + 1:
                 raise ValueError(
                     f"cell {self._name(keys[i])} of dimension {d} "
-                    f"has only {len(fs)} facets"
+                    f"has only {len(facets[i])} facets"
                 )
 
-        # sign[c][t]: the sign of facet t in the boundary of cell c
+        # sign[c]: the signs of c's facets in its boundary, as facets[c] lists them
         if self._signs is None:
-            derive, sign = True, [{} for _ in keys]
+            derive, sign = True, [[] for _ in keys]
         else:
             derive, sign = False, self._supplied_signs(keys, facets)
+        # pos[c], neg[c]: the facets of c with sign +1 and -1, as masks like below[c]
+        pos = [0] * len(keys)
+        neg = [0] * len(keys)
 
         # an edge's two endpoint signs cancel under augmentation; derived,
         # +1 goes on the rlex-greater endpoint label (the lower vertex id)
         for e in edges:
             u, v = facets[e]
             if derive:
-                sign[e] = {u: 1, v: -1}
-            elif sign[e][u] + sign[e][v] != 0:
+                sign[e] = [1, -1]
+            elif sign[e][0] + sign[e][1] != 0:
                 raise ValueError("edge endpoint signs must be opposite units")
+            pos[e], neg[e] = (1 << u, 1 << v) if sign[e][0] > 0 else (1 << v, 1 << u)
         for c in range(edges.stop, len(keys)):
-            ridges = len(inside(c, dims[keys[c]] - 2))
-            self._orient_cell(c, keys[c], ridges, facets, sign, derive)
+            d, fs = dims[keys[c]], facets[c]
+            # bit-sliced counts of the facets each ridge of c lies in: the
+            # ridges met once or more, twice or more, three times or more
+            once = twice = more = 0
+            for t in fs:
+                r = below[t]
+                more |= twice & r
+                twice |= once & r
+                once |= r
+            # every (d-2)-cell inside c must be a ridge lying in exactly two facets
+            if more or twice != once or torn[d] >> (c - first[d]) & 1:
+                raise ValueError(
+                    f"diamond property fails inside cell {self._name(keys[c])}"
+                )
+            # P, N: the ridges that c's facets carry with sign +1 and -1 once
+            # each facet's signs are multiplied by its own sign in c
+            if derive:
+                # from +1 on the first facet, across shared ridges: a facet
+                # that meets the signed ones in a ridge takes the sign that
+                # cancels there (ridges lie in two facets, so in P or in N)
+                sc = sign[c] = [1] + [0] * (len(fs) - 1)
+                P, N = pos[fs[0]], neg[fs[0]]
+                todo = range(1, len(fs))
+                while todo:
+                    left = []
+                    for j in todo:
+                        t = fs[j]
+                        hit = below[t] & (P | N)
+                        if not hit:
+                            left.append(j)
+                        elif (P ^ pos[t]) & hit & -hit:
+                            sc[j] = 1
+                            P |= pos[t]
+                            N |= neg[t]
+                        else:
+                            sc[j] = -1
+                            P |= neg[t]
+                            N |= pos[t]
+                    if len(left) == len(todo):
+                        raise ValueError(
+                            f"facet-ridge graph of cell {self._name(keys[c])} "
+                            "is disconnected"
+                        )
+                    todo = left
+            else:
+                P = N = 0
+                for t, s in zip(fs, sign[c]):
+                    P |= pos[t] if s > 0 else neg[t]
+                    N |= neg[t] if s > 0 else pos[t]
+            # with two facets per ridge, the signs cancel on every ridge iff
+            # each ridge is carried once with +1 and once with -1
+            if P != once or N != once:
+                raise ValueError(
+                    f"orientation contradiction inside cell {self._name(keys[c])}"
+                )
+            base = first[d - 1]
+            pos[c] = sum(1 << (t - base) for t, s in zip(fs, sign[c]) if s > 0)
+            neg[c] = below[c] ^ pos[c]
+        del below, pos, neg, torn
 
         lab = self._label_exps
         return tuple(
@@ -245,62 +361,29 @@ class LabeledComplex:
                 dim=dims[f],
                 vertices=verts_of[f],
                 label=Monomial(lab[f]),
-                facets=tuple((t, sign[i][t]) for t in facets[i]),
+                facets=tuple(zip(facets[i], sign[i])),
             )
             for i, f in enumerate(keys)
         )
 
-    def _supplied_signs(self, keys, facets) -> list[dict[int, int]]:
-        supplied, missing = self._signs, object()
+    def _supplied_signs(self, keys, facets) -> list[list[int]]:
+        supplied, missing, none = self._signs, object(), {}
         # one sign per derived (cell, facet) pair, and no other pairs
         sign = [
-            {t: supplied.get((f, keys[t]), missing) for t in fs}
-            for f, fs in zip(keys, facets)
+            [sg.get(keys[t], missing) for t in fs]
+            for sg, fs in zip((supplied.get(f, none) for f in keys), facets)
         ]
-        if len(supplied) != sum(map(len, facets)) or any(
-            missing in sg.values() for sg in sign
+        if sum(map(len, supplied.values())) != sum(map(len, facets)) or any(
+            missing in sg for sg in sign
         ):
             raise ValueError("signs do not match the face relation")
-        if any(type(s) is not int or s not in (1, -1) for s in supplied.values()):
+        if any(
+            type(s) is not int or s not in (1, -1)
+            for sg in supplied.values()
+            for s in sg.values()
+        ):
             raise ValueError("signs must be +1 or -1")
         return sign
-
-    def _orient_cell(self, c, mask, ridges, facets, sign, derive) -> None:
-        fs = facets[c]
-        # every (d-2)-cell inside c must be a ridge lying in exactly two facets
-        ridge_facets: dict[int, list[int]] = {}
-        for t in fs:
-            for r in facets[t]:
-                ridge_facets.setdefault(r, []).append(t)
-        # the ridges found are among the `ridges` (d-2)-cells inside c
-        if len(ridge_facets) != ridges or any(
-            len(v) != 2 for v in ridge_facets.values()
-        ):
-            raise ValueError(f"diamond property fails inside cell {self._name(mask)}")
-
-        sc = sign[c]
-        if derive:
-            adj: dict[int, list[tuple[int, int]]] = {t: [] for t in fs}
-            for r, (t1, t2) in ridge_facets.items():
-                w = sign[t1][r] * sign[t2][r]
-                adj[t1].append((t2, w))
-                adj[t2].append((t1, w))
-            sc[fs[0]] = 1
-            queue = [fs[0]]
-            for t in queue:
-                for t2, w in adj[t]:
-                    if t2 not in sc:
-                        sc[t2] = -sc[t] * w
-                        queue.append(t2)
-            if len(sc) != len(fs):
-                raise ValueError(
-                    f"facet-ridge graph of cell {self._name(mask)} is disconnected"
-                )
-        for r, (t1, t2) in ridge_facets.items():
-            if sc[t1] * sign[t1][r] + sc[t2] * sign[t2][r] != 0:
-                raise ValueError(
-                    f"orientation contradiction inside cell {self._name(mask)}"
-                )
 
 
 def simplex(labels) -> LabeledComplex:

@@ -15,8 +15,9 @@ straight from the file's vertex ids and renumbers vertices and cells
 canonically, so a file with shifted ids or reordered records imports and
 re-exports to the canonical bytes.  Import checks the JSON's shape (types,
 known and unrepeated ids, unit signs, one dimension per vertex set, a
-0-cell per vertex record); the `_finalize` that checks built complexes then
-checks the stored signs and every structural invariant.  Structural, sign
+0-cell per vertex record) and hands the signs over per cell, as
+{cell mask: {facet mask: sign}}; the `_finalize` that checks built
+complexes then checks them and every structural invariant.  Structural, sign
 and label violations are rejected, never repaired; an export-import round
 trip is the identity on cells and signs.
 """
@@ -168,12 +169,11 @@ def dict_to_complex(data: dict) -> LabeledComplex:
     if points != (1 << len(verts)) - 1:
         raise _invalid("every vertex record is a 0-cell")
 
-    signs = {}
+    signs = {}  # cell mask -> {facet mask: sign}, the form `_finalize` reads
     for rec in recs:
-        key = keys[rec["id"]]
         if not isinstance(rec["facets"], list):
             raise _invalid("facets must be a list")
-        listed = set()
+        signs[keys[rec["id"]]] = listed = {}
         for pair in rec["facets"]:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise _invalid("facets are [id, sign] pairs")
@@ -182,10 +182,9 @@ def dict_to_complex(data: dict) -> LabeledComplex:
                 raise _invalid("facet ids known")
             if type(sign) is not int or sign not in (1, -1):
                 raise _invalid("facet signs are +1 or -1")
-            if fid in listed:
+            if keys[fid] in listed:  # cell ids and vertex sets correspond 1:1
                 raise _invalid("facet ids listed once")
-            listed.add(fid)
-            signs[key, keys[fid]] = sign
+            listed[keys[fid]] = sign
 
     try:
         # the constructor and `cells` re-assert every structural invariant

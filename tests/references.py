@@ -1,10 +1,11 @@
 """Helpers the package does not ship, kept here for the tests that use
-them: a seeded random Borel ideal and a label scaling of a complex."""
+them: a seeded random Borel ideal, a label scaling of a complex, and the
+scan-and-BFS `finalize_reference` that `LabeledComplex._finalize` replaced."""
 import random
 
 from borelcell.borel import BorelIdeal
-from borelcell.complexes import LabeledComplex
-from borelcell.monomials import monomials_of_degree
+from borelcell.complexes import Cell, LabeledComplex
+from borelcell.monomials import Monomial, monomials_of_degree
 
 
 def random_borel_minimal(n, d, s, seed):
@@ -21,4 +22,103 @@ def scale_labels(X, mu):
     """Multiply every vertex label by mu (a relabeling, not a subdivision)."""
     return LabeledComplex(
         X.n, {frozenset(v * mu for v in f): d for f, d in X.faces.items()}
+    )
+
+
+def finalize_reference(X):
+    """The cells of X as `LabeledComplex._finalize` found them before it
+    worked on vertex stars and ridge masks: the faces of a cell are sought
+    among the cells whose lowest vertex lies in it, and the signs of a built
+    complex are derived by a breadth-first walk of each cell's facet-ridge
+    graph.  Same checks, same messages, same cells; X._signs, when present,
+    is read in the per-cell form {cell mask: {facet mask: sign}}."""
+    dims = X._dims
+    verts_of = X._vertex_ids
+    keys = sorted(dims, key=verts_of.__getitem__)
+    keys.sort(key=dims.__getitem__)
+    fv = X.f_vector()
+    edges = range(sum(fv[:1]), sum(fv[:2]))
+    low = [{} for _ in range(X.dim + 1)]
+    for i, f in enumerate(keys):
+        low[dims[f]].setdefault(verts_of[f][0], []).append(i)
+
+    def inside(i, d):
+        f = keys[i]
+        by_low = low[d]
+        return [
+            t for v in verts_of[f] for t in by_low.get(v, ()) if not keys[t] & ~f
+        ]
+
+    facets = [[] for _ in keys]
+    for i in range(edges.start, len(keys)):
+        d = dims[keys[i]]
+        facets[i] = fs = inside(i, d - 1)
+        if len(fs) < d + 1:
+            raise ValueError(
+                f"cell {X._name(keys[i])} of dimension {d} has only {len(fs)} facets"
+            )
+
+    if X._signs is None:
+        derive, sign = True, [{} for _ in keys]
+    else:
+        derive = False
+        supplied = {(f, t): s for f, sg in X._signs.items() for t, s in sg.items()}
+        missing = object()
+        sign = [
+            {t: supplied.get((f, keys[t]), missing) for t in fs}
+            for f, fs in zip(keys, facets)
+        ]
+        if sum(map(len, X._signs.values())) != sum(map(len, facets)) or any(
+            missing in sg.values() for sg in sign
+        ):
+            raise ValueError("signs do not match the face relation")
+        if any(type(s) is not int or s not in (1, -1) for s in supplied.values()):
+            raise ValueError("signs must be +1 or -1")
+
+    for e in edges:
+        u, v = facets[e]
+        if derive:
+            sign[e] = {u: 1, v: -1}
+        elif sign[e][u] + sign[e][v] != 0:
+            raise ValueError("edge endpoint signs must be opposite units")
+    for c in range(edges.stop, len(keys)):
+        ridges = len(inside(c, dims[keys[c]] - 2))
+        fs = facets[c]
+        ridge_facets = {}
+        for t in fs:
+            for r in facets[t]:
+                ridge_facets.setdefault(r, []).append(t)
+        if len(ridge_facets) != ridges or any(
+            len(v) != 2 for v in ridge_facets.values()
+        ):
+            raise ValueError(f"diamond property fails inside cell {X._name(keys[c])}")
+        sc = sign[c]
+        if derive:
+            adj = {t: [] for t in fs}
+            for r, (t1, t2) in ridge_facets.items():
+                w = sign[t1][r] * sign[t2][r]
+                adj[t1].append((t2, w))
+                adj[t2].append((t1, w))
+            sc[fs[0]] = 1
+            queue = [fs[0]]
+            for t in queue:
+                for t2, w in adj[t]:
+                    if t2 not in sc:
+                        sc[t2] = -sc[t] * w
+                        queue.append(t2)
+            if len(sc) != len(fs):
+                raise ValueError(
+                    f"facet-ridge graph of cell {X._name(keys[c])} is disconnected"
+                )
+        for r, (t1, t2) in ridge_facets.items():
+            if sc[t1] * sign[t1][r] + sc[t2] * sign[t2][r] != 0:
+                raise ValueError(
+                    f"orientation contradiction inside cell {X._name(keys[c])}"
+                )
+
+    lab = X._label_exps
+    return tuple(
+        Cell(i, dims[f], verts_of[f], Monomial(lab[f]),
+             tuple((t, sign[i][t]) for t in facets[i]))
+        for i, f in enumerate(keys)
     )

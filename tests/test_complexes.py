@@ -1,9 +1,12 @@
+import copy
+import pickle
+import random
 from collections import Counter
 
 import pytest
 
 from borelcell import builders
-from borelcell.borel import expand_principal
+from borelcell.borel import BorelIdeal, expand_principal
 from borelcell.complexes import (
     LabeledComplex,
     product,
@@ -13,8 +16,8 @@ from borelcell.complexes import (
     union,
 )
 from borelcell.monomials import Monomial, VarRange, lcm_many, parse_monomial, unit
-from borelcell.serialize import dumps
-from references import scale_labels
+from borelcell.serialize import complex_to_dict, dict_to_complex, dumps
+from references import finalize_reference, scale_labels
 
 
 def m(text, n=3):
@@ -174,6 +177,16 @@ class TestCells:
         with pytest.raises(ValueError, match="diamond"):
             X.cells
 
+    def test_ridge_in_one_facet(self):
+        # the boundary of the 2-cell is the open path ab, bc, cd
+        faces = {fs(t, n=4): 0 for t in "abcd"}
+        faces[fs("a", "b", "c", "d", n=4)] = 2
+        for e in [("a", "b"), ("b", "c"), ("c", "d")]:
+            faces[fs(*e, n=4)] = 1
+        X = LabeledComplex(4, faces)
+        with pytest.raises(ValueError, match="diamond"):
+            X.cells
+
     def test_disconnected_boundary(self):
         # one 2-cell whose facet-ridge graph is two disjoint 3-cycles
         labels = ["a", "b", "c", "ab", "bc", "ac"]
@@ -195,26 +208,216 @@ class TestCells:
             X.cells
 
 
+def sign_map(X):
+    """X's signs as the constructor takes them: {(cell, facet): sign}."""
+    cells = X.cells
+    key = {c.id: frozenset(X.vertex_labels[i] for i in c.vertices) for c in cells}
+    return {(key[c.id], key[fid]): s for c in cells for fid, s in c.facets}
+
+
+def cube_with_diagonal():
+    """The cube on x1..x6 plus a 1-cell on its space diagonal, which lies
+    inside the 3-cell and in none of its facets."""
+    def edge(a, b):
+        return simplex([m(a, 6), m(b, 6)])
+
+    cube = product(product(edge("x1", "x2"), edge("x3", "x4")), edge("x5", "x6"))
+    return cube, fs("x2*x4*x6", "x1*x3*x5", n=6)
+
+
+class TestRidgeCount:
+    """The half of the diamond check that counts the ridges of a cell."""
+
+    def test_stray_cell_inside_a_cell_rejected(self):
+        cube, diagonal = cube_with_diagonal()
+        assert len(cube.cells) == 27
+        faces = dict(cube.faces)
+        faces[diagonal] = 1
+        X = LabeledComplex(6, faces)
+        with pytest.raises(ValueError) as new:
+            X.cells
+        cube_name = sorted(map(str, cube.vertex_labels))
+        assert str(new.value) == f"diamond property fails inside cell {cube_name}"
+        with pytest.raises(ValueError) as ref:
+            finalize_reference(LabeledComplex(6, faces))
+        assert str(new.value) == str(ref.value)
+
+    def test_stray_cell_rejected_on_import(self):
+        cube, diagonal = cube_with_diagonal()
+        data = complex_to_dict(cube)
+        u, v = sorted(cube.vertex_labels.index(w) for w in diagonal)
+        data["cells"].append(
+            {"id": len(data["cells"]), "dim": 1, "vertices": [u, v],
+             "label": "x1*x2*x3*x4*x5*x6", "facets": [[u, 1], [v, -1]]}
+        )
+        with pytest.raises(
+            ValueError, match="invalid complex file: diamond property fails"
+        ):
+            dict_to_complex(data)
+
+
+class TestFinalizeAgainstReference:
+    """Stars and ridge masks against the scan-and-BFS reference, where the
+    masks of one dimension span many machine words (P(6,4) has 840 2-cells)."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        return {
+            "P(6,4)": builders.power_complex(6, VarRange(1, 6), 4),
+            "P(7,3)": builders.power_complex(7, VarRange(1, 7), 3),
+            "Q(x2*x4*x6^2)": builders.borel_complex(
+                BorelIdeal.from_borel_gens(6, [m("x2*x4*x6^2", 6)])
+            ),
+        }
+
+    @staticmethod
+    def imported(data, monkeypatch=None):
+        if monkeypatch is None:
+            return dict_to_complex(data).cells
+        with monkeypatch.context() as mp:
+            mp.setattr(LabeledComplex, "_finalize", finalize_reference)
+            return dict_to_complex(data).cells
+
+    def test_built_and_imported_cells_agree(self, built, monkeypatch):
+        sizes = {}
+        for name, X in built.items():
+            fresh = LabeledComplex._from_masks(X.n, X._verts, X._dims)
+            ref = finalize_reference(fresh)
+            assert fresh.cells == ref == X.cells, name
+            data = complex_to_dict(X)
+            assert self.imported(data) == self.imported(data, monkeypatch) == ref
+            sizes[name] = len(ref)
+        assert sizes == {"P(6,4)": 2561, "P(7,3)": 2815, "Q(x2*x4*x6^2)": 1501}
+
+    @staticmethod
+    def with_facets(data, i, facets):
+        cells = list(data["cells"])
+        cells[i] = dict(cells[i], facets=facets)
+        return dict(data, cells=cells)
+
+    def test_imported_sign_flips(self, built, monkeypatch):
+        X = built["P(6,4)"]
+        data = complex_to_dict(X)
+        top = next(r for r in data["cells"] if r["dim"] == X.dim)
+        flipped = [[t, -s] for t, s in top["facets"]]
+        cells = self.imported(self.with_facets(data, top["id"], flipped))
+        assert cells[top["id"]].facets == tuple(map(tuple, flipped))
+        assert cells[: top["id"]] == X.cells[: top["id"]]
+        # one sign on a 3-cell, whose facets span 840 2-cells
+        rec = next(r for r in data["cells"] if r["dim"] == 3)
+        facets = [list(p) for p in rec["facets"]]
+        facets[3][1] *= -1
+        one = self.with_facets(data, rec["id"], facets)
+        messages = []
+        for mp in (None, monkeypatch):
+            with pytest.raises(ValueError, match="orientation contradiction") as e:
+                self.imported(one, mp)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+
+    def test_random_edits_end_alike(self):
+        # seeded edits of two small complexes: cells dropped, added or given
+        # another dimension, and signs flipped, dropped or made non-units;
+        # the same cells as the reference, or the same first error
+        rng = random.Random(0)
+        bases = [
+            builders.power_complex(3, VarRange(1, 3), 3),
+            product(
+                simplex([m("x1", 6), m("x2", 6)]),
+                simplex([m("x3", 6), m("x4", 6), m("x5", 6)]),
+            ),
+        ]
+        ends = Counter()
+        for _ in range(600):
+            B = rng.choice(bases)
+            dims, signs = dict(B._dims), None
+            cells = [f for f, d in dims.items() if d > 0]
+            edit = rng.randrange(4)
+            if edit == 0:
+                for f in rng.sample(cells, rng.randint(1, 3)):
+                    del dims[f]
+            elif edit == 1:
+                k = rng.randint(2, min(len(B._verts), 6))
+                f = sum(1 << i for i in rng.sample(range(len(B._verts)), k))
+                dims.setdefault(f, 1 if k == 2 else rng.randint(2, k - 1))
+            elif edit == 2:
+                f = rng.choice([f for f in cells if f.bit_count() > 2])
+                dims[f] = rng.randint(2, f.bit_count() - 1)
+            else:
+                key = sorted(dims, key=lambda f: (dims[f], B._vertex_ids[f]))
+                signs = {
+                    key[c.id]: {key[t]: s for t, s in c.facets} for c in B.cells
+                }
+                c = rng.choice([c for c in B.cells if c.dim > 0])
+                sg, t = signs[key[c.id]], key[rng.choice(c.facets)[0]]
+                rng.choice([
+                    lambda: sg.update({t: -sg[t]}),
+                    lambda: sg.update({u: -s for u, s in sg.items()}),
+                    lambda: sg.pop(t),
+                    lambda: sg.update({t: 2}),
+                ])()
+            end = []
+            for finalize in (LabeledComplex._finalize, finalize_reference):
+                X = LabeledComplex._from_masks(
+                    B.n, B._verts, dims, copy.deepcopy(signs)
+                )
+                try:
+                    end.append(finalize(X))
+                except ValueError as exc:
+                    end.append(str(exc))
+            assert end[0] == end[1]
+            ends[end[0].split(" ")[0] if isinstance(end[0], str) else "ok"] += 1
+        # a disconnected boundary is rare under these edits; see
+        # test_disconnected_boundary
+        assert set(ends) >= {
+            "ok", "cell", "diamond", "orientation", "edge", "signs"
+        }, ends
+
+
+class TestCopyAndPickle:
+    """A complex copies and pickles whichever of its caches have been read."""
+
+    def flipped(self):
+        # a whole-cell flip: signs that the cells alone carry once checked
+        X = p2abc()
+        signs = sign_map(X)
+        square = fs("ab", "b^2", "ac", "bc")
+        return LabeledComplex(
+            3, X.faces, {k: (-s if k[0] == square else s) for k, s in signs.items()}
+        )
+
+    @pytest.mark.parametrize("read", ["faces", "labels", "cells"])
+    def test_shared_power_complex(self, read):
+        X = builders.power_complex(2, VarRange(1, 2), 2)
+        getattr(X, read)
+        for Y in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+            assert Y == X
+            assert Y.cells == X.cells
+            assert dict(Y.labels) == dict(X.labels)
+
+    @pytest.mark.parametrize("read", ["faces", "labels", "cells"])
+    def test_supplied_signs_survive(self, read):
+        X = self.flipped()
+        getattr(X, read)
+        derived = p2abc().cells
+        for Y in (copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+            assert Y == X
+            assert Y.cells == X.cells != derived
+            assert Y.faces == X.faces
+
+
 class TestInstallCells:
     """Signs supplied to the constructor, as an import installs them."""
 
-    def _sign_map(self, X):
-        cells = X.cells
-        by_id = {c.id: c for c in cells}
-        key = {c.id: frozenset(X.vertex_labels[i] for i in c.vertices) for c in cells}
-        return {
-            (key[c.id], key[fid]): s for c in cells for fid, s in c.facets
-        }
-
     def test_recomputed_signs_accepted(self):
         X = p2abc()
-        signs = self._sign_map(X)
+        signs = sign_map(X)
         assert LabeledComplex(3, X.faces, signs).cells == X.cells
 
     def test_whole_cell_flip_accepted(self):
         # negating every facet sign of one top cell is still a valid orientation
         X = p2abc()
-        signs = self._sign_map(X)
+        signs = sign_map(X)
         square = fs("ab", "b^2", "ac", "bc")
         flipped = {
             (f, t): (-s if f == square else s) for (f, t), s in signs.items()
@@ -226,7 +429,7 @@ class TestInstallCells:
 
     def test_single_flip_rejected(self):
         X = p2abc()
-        signs = self._sign_map(X)
+        signs = sign_map(X)
         square = fs("ab", "b^2", "ac", "bc")
         edge = fs("ab", "b^2")
         bad = dict(signs)
@@ -249,28 +452,28 @@ class TestInstallCells:
 
     def test_missing_pair_rejected(self):
         X = p2abc()
-        signs = self._sign_map(X)
+        signs = sign_map(X)
         del signs[next(iter(signs))]
         with pytest.raises(ValueError, match="do not match"):
             LabeledComplex(3, X.faces, signs).cells
 
     def test_non_unit_sign_rejected(self):
         X = p2abc()
-        signs = self._sign_map(X)
+        signs = sign_map(X)
         signs[next(iter(signs))] = 2
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             LabeledComplex(3, X.faces, signs).cells
 
     def test_bool_sign_rejected(self):
         X = p2abc()
-        signs = self._sign_map(X)
+        signs = sign_map(X)
         signs[next(k for k, s in signs.items() if s == 1)] = True
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             LabeledComplex(3, X.faces, signs).cells
 
     def test_signs_released_once_checked(self):
         X = p2abc()
-        Y = LabeledComplex(3, X.faces, self._sign_map(X))
+        Y = LabeledComplex(3, X.faces, sign_map(X))
         assert Y.cells == X.cells
         assert Y._signs is None
 
