@@ -40,6 +40,11 @@ whenever r is a ridge of c lying in the two facets f and f'.  With two
 facets per ridge, that holds on all ridges of c iff the facets' ridge masks,
 each split by sign and signed by its facet's sign in c, cover every ridge
 once with +1 and once with -1.
+
+`_finalize` returns the finished complex as one `ChainComplex` of arrays
+indexed by cell id, cached as `_chain`; supplied signs are dropped once it
+exists.  Every other module reads those arrays, and `Cell` objects exist
+only in the `cells` view, built on first read for library callers.
 """
 from __future__ import annotations
 
@@ -51,6 +56,7 @@ from .monomials import Monomial, _bits, _exps_key, _set, _Value
 
 __all__ = [
     "Cell",
+    "ChainComplex",
     "LabeledComplex",
     "simplex",
     "product",
@@ -60,8 +66,19 @@ __all__ = [
 ]
 
 
+class ChainComplex(_Value):
+    """A finished complex by cell id: dims[i], vertex ids vertices[i], label
+    exponent tuple labels[i], and columns[i], the (facet id, orientation
+    sign) pairs of the cellular differential's column for cell i."""
+
+    __slots__ = _fields = ("dims", "vertices", "labels", "columns")
+
+    def __init__(self, dims, vertices, labels, columns) -> None:
+        self._init(dims, vertices, labels, columns)
+
+
 class Cell(_Value):
-    """One cell of a finished complex: vertex ids and (facet id, sign) pairs."""
+    """One cell of a finished complex, as the `cells` view lists it."""
 
     __slots__ = _fields = ("id", "dim", "vertices", "label", "facets")
 
@@ -75,7 +92,7 @@ class Cell(_Value):
 
 # the cached properties of a LabeledComplex that its other state determines
 _RECOMPUTED = frozenset(
-    ("_vertex_ids", "faces", "_label_exps", "labels", "vertex_labels")
+    ("_vertex_ids", "faces", "_label_exps", "labels", "vertex_labels", "cells")
 )
 
 
@@ -165,7 +182,7 @@ class LabeledComplex:
 
     def __getstate__(self) -> dict:
         # copy and pickle leave out the caches that are recomputed on demand,
-        # mapping proxies among them; `cells` stays, since once it is read
+        # mapping proxies among them; `_chain` stays, since once it is read
         # it holds the only copy of supplied signs
         return {k: v for k, v in self.__dict__.items() if k not in _RECOMPUTED}
 
@@ -204,16 +221,23 @@ class LabeledComplex:
         return tuple(counts)
 
     @cached_property
+    def _chain(self) -> ChainComplex:
+        C = self._finalize()
+        self._signs = None  # the finished complex carries them now
+        return C
+
+    @cached_property
     def cells(self) -> tuple[Cell, ...]:
-        """Canonically ordered cells with verified orientation signs."""
-        cells = self._finalize()
-        self._signs = None  # the cells carry them now
-        return cells
+        """Canonically ordered cells with verified orientation signs: a view
+        of the finished complex for library callers, built on first read."""
+        C, ids = self._chain, range(len(self))
+        labels = map(Monomial, C.labels)
+        return tuple(map(Cell, ids, C.dims, C.vertices, labels, C.columns))
 
     def _name(self, f: int) -> list[str]:
         return sorted(str(Monomial(self._verts[i])) for i in self._vertex_ids[f])
 
-    def _finalize(self) -> tuple[Cell, ...]:
+    def _finalize(self) -> ChainComplex:
         dims = self._dims
         verts_of = self._vertex_ids
         keys = sorted(dims, key=verts_of.__getitem__)
@@ -355,15 +379,11 @@ class LabeledComplex:
         del below, pos, neg, torn
 
         lab = self._label_exps
-        return tuple(
-            Cell(
-                id=i,
-                dim=dims[f],
-                vertices=verts_of[f],
-                label=Monomial(lab[f]),
-                facets=tuple(zip(facets[i], sign[i])),
-            )
-            for i, f in enumerate(keys)
+        return ChainComplex(
+            tuple(dims[f] for f in keys),
+            tuple(verts_of[f] for f in keys),
+            tuple(lab[f] for f in keys),
+            tuple(tuple(zip(fs, sg)) for fs, sg in zip(facets, sign)),
         )
 
     def _supplied_signs(self, keys, facets) -> list[list[int]]:

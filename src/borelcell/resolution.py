@@ -9,14 +9,14 @@ the lcm lattice, the subcomplex of cells whose label divides b has zero
 reduced homology; it is minimal exactly when no cell shares its label with
 one of its facets.  Homology ranks are computed exactly (see exact.py).
 
-ChainComplex is the one form of the differential: sparse columns over cell
-ids, read off the oriented cells.  chain_complex is the one place that
-checks each facet label divides its cell label, and
-check_boundary_squared_zero composes the columns with themselves.
-verify_resolution builds C = chain_complex(X) once, checks its square, and
-hands the same C to the acyclicity kernel, whose rank matrices are cut from
-C's columns.  homology_dims ranks the chain_complex of its argument the same
-way.
+ChainComplex (complexes.py) is the one form of a finished complex: per cell
+id its dimension, vertex ids, label exponent tuple and differential column
+of (facet id, sign) pairs, built once by LabeledComplex._finalize and
+returned by chain_complex.  A facet's label divides its cell's by
+construction: both are lcms of vertex labels.  verify_resolution checks the
+square of C = chain_complex(X) with check_boundary_squared_zero, then hands
+the same C to the acyclicity kernel, which cuts its selections from C's
+labels and its rank matrices from C's columns.
 
 verify_resolution decides every degree with one kernel over the cells of
 the already oriented complex.  Degrees run in canonical order, so every
@@ -56,9 +56,9 @@ lower      every cell label is a lattice element, so X_{<=b-e_v} is
            X_{<=m} for the largest lattice element m dividing b - e_v.
            Every a < b divides one such m, so the largest of these masks
            is X_{<=a} for a lower cover a of b, found without computing
-           covers.  The base is X_{<=a} if that selection passed, and the
-           empty selection otherwise (an atom, one vertex, has nothing
-           below it).
+           covers.  The base is X_{<=a} unless that selection failed (only
+           failures are kept), and the empty selection then; an atom, one
+           vertex, has nothing below it.
 collapse   repeatedly delete a cell of D = X_{<=b} minus base with exactly
            one remaining coface, together with that coface.  The base is
            closed under faces, so every coface of a cell in D is in D.  In
@@ -81,10 +81,10 @@ rank       if nothing of D is left, X_{<=b} collapses onto the acyclic base
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, le
+from operator import and_
 
 from .borel import BorelIdeal
-from .complexes import LabeledComplex
+from .complexes import ChainComplex, LabeledComplex
 from .exact import Field
 from .lattice import build_lattice
 from .monomials import Monomial, _below_masks, _bits, _exps_text, _set, _Value
@@ -103,33 +103,9 @@ __all__ = [
 ]
 
 
-class ChainComplex(_Value):
-    """The cellular differential, sparse over cell ids.
-
-    dims[i] is the dimension of cell i, and columns[i] lists the
-    (facet id, orientation sign) pairs of cell i: the nonzero entries of
-    the differential's column for that cell.
-    """
-
-    __slots__ = _fields = ("dims", "columns")
-
-    def __init__(self, dims: tuple, columns: tuple) -> None:
-        self._init(dims, columns)
-
-
 def chain_complex(X: LabeledComplex) -> ChainComplex:
-    """The differential of X; every facet label must divide its cell label."""
-    cells = X.cells
-    for c in cells:
-        top = c.label.exps
-        for fid, _ in c.facets:
-            if not all(map(le, cells[fid].label.exps, top)):
-                raise ValueError(
-                    f"facet label {cells[fid].label} does not divide cell label {c.label}"
-                )
-    return ChainComplex(
-        dims=tuple(c.dim for c in cells), columns=tuple(c.facets for c in cells)
-    )
+    """The finished complex of X, built and checked once, then cached on X."""
+    return X._chain
 
 
 def check_boundary_squared_zero(C: ChainComplex) -> bool:
@@ -157,7 +133,7 @@ def homology_dims(X: LabeledComplex, fld: Field) -> tuple[int, ...]:
     """
     if not len(X):
         return ()
-    return _residual_homology(chain_complex(X), range(len(X.cells)), X.dim, fld)
+    return _residual_homology(chain_complex(X), range(len(X)), X.dim, fld)
 
 
 class CheckResult(_Value):
@@ -196,26 +172,25 @@ class ResolutionReport(_Value):
 
 
 def _acyclicity_checks(
-    X: LabeledComplex, C: ChainComplex, fld: Field, degrees
+    C: ChainComplex, n: int, fld: Field, degrees
 ) -> list[CheckResult]:
-    """One check per degree of X, whose differential is C: select, then
-    pass by the nerve, or collapse relative to a passed lower selection and
-    rank what is left (module docstring)."""
-    cells = X.cells  # cell ids are positions, ordered by dimension
+    """One check per degree of the finished complex C in n variables:
+    select, then pass by the nerve, or collapse relative to a lower
+    selection that did not fail and rank what is left (module docstring)."""
     facets = [[fid for fid, _ in col] for col in C.columns]
-    comask = [0] * len(cells)
+    comask = [0] * len(facets)
     for i, fids in enumerate(facets):
         for fid in fids:
             comask[fid] |= 1 << i
     # below[v][k]: cells whose label has exponent at most k in variable v
-    below = _below_masks([c.label.exps for c in cells], X.n)
+    below = _below_masks(C.labels, n)
 
-    vertices = (1 << C.dims.count(0)) - 1  # the 0-cells come first
+    points = C.dims.count(0)  # the 0-cells come first
+    vertices = (1 << points) - 1
     # labels of positive-dimensional cells; a vertex labeled b leaves U empty
-    labels = {c.label.exps for c in cells if c.dim}
-    everything = (1 << len(cells)) - 1
-    passed: set[int] = set()  # selections certified acyclic
-    failed = False
+    labels = set(C.labels[points:])
+    everything = (1 << len(facets)) - 1
+    failed: set[int] = set()  # the selections that failed
     checks = []
     for b in degrees:
         live = everything
@@ -227,12 +202,11 @@ def _acyclicity_checks(
             # the nerve: K^b is the full simplex on a nonempty U
             strict = [s & vertices for s in lowers if s & vertices]
             if strict and reduce(and_, strict, live & vertices):
-                passed.add(live)
                 checks.append(CheckResult("acyclic", "pass", b))
                 continue
         # X_{<=a} for a lower cover a of b, decided earlier in degree order
         lower = max(lowers, default=0)
-        base = lower if lower in passed else 0
+        base = 0 if lower in failed else lower
         left = _collapse(live, base, comask, facets)
         dims = ()  # nothing left: X_{<=b} collapses onto the acyclic base
         if left:
@@ -240,10 +214,8 @@ def _acyclicity_checks(
             dims = _residual_homology(C, _bits(left), top, fld, base)
         ok = not any(dims)
         witness = None
-        if ok:
-            passed.add(live)
-        else:
-            failed = True
+        if not ok:
+            failed.add(live)
             witness = {
                 "reduced_homology": list(dims),
                 "first_nonzero": next(i - 1 for i, h in enumerate(dims) if h != 0),
@@ -325,10 +297,10 @@ def verify_resolution(
     has zero reduced homology.  Degrees are checked serially in a fixed
     order.
     """
-    # the 0-cells carry the vertex labels, already built
-    if {c.label for c in X.cells if not c.dim} != I.expanded:
-        raise ValueError("vertex labels differ from the minimal generators")
     C = chain_complex(X)
+    # the 0-cells come first and carry the vertex labels
+    if set(C.labels[: C.dims.count(0)]) != {g.exps for g in I.expanded}:
+        raise ValueError("vertex labels differ from the minimal generators")
     checks = [
         CheckResult(
             name="boundary_squared_zero",
@@ -337,7 +309,7 @@ def verify_resolution(
     ]
     # the unit is the only degree-0 element, so it sorts first
     degrees = build_lattice(I).exps[1:]
-    checks += _acyclicity_checks(X, C, fld, degrees)
+    checks += _acyclicity_checks(C, I.n, fld, degrees)
     ok = all(c.status == "pass" for c in checks)
     return ResolutionReport(
         ok=ok, field=str(fld), checks=tuple(checks), subject=X, degrees=degrees
@@ -346,12 +318,8 @@ def verify_resolution(
 
 def check_minimal(X: LabeledComplex) -> bool:
     """True iff no cell has a facet carrying the same label."""
-    cells = X.cells
-    for c in cells:
-        for fid, _ in c.facets:
-            if cells[fid].label == c.label:
-                return False
-    return True
+    C = chain_complex(X)
+    return all(C.labels[f] != e for e, col in zip(C.labels, C.columns) for f, _ in col)
 
 
 def betti_from_cells(
@@ -368,11 +336,11 @@ def betti_from_cells(
         raise ValueError("complex failed resolution verification")
     if not check_minimal(X):
         raise ValueError("complex is not minimal")
-    table: dict[tuple[int, Monomial], int] = {}
-    for c in X.cells:
-        key = (c.dim, c.label)
-        table[key] = table.get(key, 0) + 1
-    return table
+    C = chain_complex(X)
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    for key in zip(C.dims, C.labels):
+        counts[key] = counts.get(key, 0) + 1
+    return {(d, Monomial(e)): k for (d, e), k in counts.items()}
 
 
 def betti_totals(table: dict[tuple[int, Monomial], int]) -> tuple[int, ...]:

@@ -39,20 +39,20 @@ __all__ = [
 
 
 def complex_to_dict(X: LabeledComplex) -> dict:
-    cells = X.cells
+    C = X._chain
     vertices = [{"id": i, "label": _exps_text(v)} for i, v in enumerate(X._verts)]
     return {
         "vars": X.n,
         "vertices": vertices,
         "cells": [
             {
-                "id": c.id,
-                "dim": c.dim,
-                "vertices": list(c.vertices),
-                "label": c.label.canonical(),
-                "facets": [[fid, sign] for fid, sign in c.facets],
+                "id": i,
+                "dim": d,
+                "vertices": list(C.vertices[i]),
+                "label": _exps_text(C.labels[i]),
+                "facets": [[fid, sign] for fid, sign in C.columns[i]],
             }
-            for c in cells
+            for i, d in enumerate(C.dims)
         ],
     }
 
@@ -71,13 +71,14 @@ def dumps(X: LabeledComplex) -> str:
         f'{{\n      "id": {i},\n      "label": {_string(_exps_text(v))}\n    }}'
         for i, v in enumerate(X._verts)
     ]
+    C = X._chain
     cells = []
-    for c in X.cells:
-        vs = _array([str(v) for v in c.vertices], "      ")
-        pairs = [f"[\n          {f},\n          {s}\n        ]" for f, s in c.facets]
+    for i, (d, ids, e, col) in enumerate(zip(C.dims, C.vertices, C.labels, C.columns)):
+        vs = _array([str(v) for v in ids], "      ")
+        pairs = [f"[\n          {f},\n          {s}\n        ]" for f, s in col]
         cells.append(
-            f'{{\n      "id": {c.id},\n      "dim": {c.dim},\n      "vertices": {vs},\n'
-            f'      "label": {_string(c.label.canonical())},\n'
+            f'{{\n      "id": {i},\n      "dim": {d},\n      "vertices": {vs},\n'
+            f'      "label": {_string(_exps_text(e))},\n'
             f'      "facets": {_array(pairs, "      ")}\n    }}'
         )
     return (
@@ -187,10 +188,10 @@ def dict_to_complex(data: dict) -> LabeledComplex:
             listed[keys[fid]] = sign
 
     try:
-        # the constructor and `cells` re-assert every structural invariant
+        # the constructor and `_chain` re-assert every structural invariant
         # and check the signs against the facet relation they derive
         X = LabeledComplex._from_masks(n, tuple(verts), faces, signs)
-        X.cells
+        X._chain
     except ValueError as exc:
         raise _invalid(exc) from exc
     labels = X._label_exps

@@ -8,6 +8,7 @@ import pytest
 from borelcell import builders
 from borelcell.borel import BorelIdeal, expand_principal
 from borelcell.complexes import (
+    ChainComplex,
     LabeledComplex,
     product,
     restrict,
@@ -16,6 +17,7 @@ from borelcell.complexes import (
     union,
 )
 from borelcell.monomials import Monomial, VarRange, lcm_many, parse_monomial, unit
+from borelcell.resolution import chain_complex
 from borelcell.serialize import complex_to_dict, dict_to_complex, dumps
 from references import finalize_reference, scale_labels
 
@@ -256,6 +258,17 @@ class TestRidgeCount:
             dict_to_complex(data)
 
 
+def reference_chain(X):
+    """`finalize_reference` in the array form that `_finalize` returns."""
+    cells = finalize_reference(X)
+    return ChainComplex(
+        tuple(c.dim for c in cells),
+        tuple(c.vertices for c in cells),
+        tuple(c.label.exps for c in cells),
+        tuple(c.facets for c in cells),
+    )
+
+
 class TestFinalizeAgainstReference:
     """Stars and ridge masks against the scan-and-BFS reference, where the
     masks of one dimension span many machine words (P(6,4) has 840 2-cells)."""
@@ -275,7 +288,7 @@ class TestFinalizeAgainstReference:
         if monkeypatch is None:
             return dict_to_complex(data).cells
         with monkeypatch.context() as mp:
-            mp.setattr(LabeledComplex, "_finalize", finalize_reference)
+            mp.setattr(LabeledComplex, "_finalize", reference_chain)
             return dict_to_complex(data).cells
 
     def test_built_and_imported_cells_agree(self, built, monkeypatch):
@@ -357,7 +370,7 @@ class TestFinalizeAgainstReference:
                     lambda: sg.update({t: 2}),
                 ])()
             end = []
-            for finalize in (LabeledComplex._finalize, finalize_reference):
+            for finalize in (LabeledComplex._finalize, reference_chain):
                 X = LabeledComplex._from_masks(
                     B.n, B._verts, dims, copy.deepcopy(signs)
                 )
@@ -404,6 +417,24 @@ class TestCopyAndPickle:
             assert Y == X
             assert Y.cells == X.cells != derived
             assert Y.faces == X.faces
+
+    def test_imported_flip_read_through_chain_complex(self):
+        # the array form alone holds the file's signs once it is read; the
+        # cells view is left out of the copies and rebuilt from it
+        data = complex_to_dict(p2abc())
+        top = next(r for r in data["cells"] if len(r["vertices"]) == 4)
+        top["facets"] = [[t, -s] for t, s in top["facets"]]
+        X = dict_to_complex(data)
+        C = chain_complex(X)
+        assert X._signs is None
+        assert C.columns[top["id"]] == tuple(map(tuple, top["facets"]))
+        X.cells
+        assert "cells" not in X.__getstate__()
+        for Y in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+            assert Y == X and chain_complex(Y) == C
+            assert "cells" not in vars(Y)
+            assert Y.cells == X.cells != p2abc().cells
+            assert Y.cells[top["id"]].facets == C.columns[top["id"]]
 
 
 class TestInstallCells:

@@ -1,7 +1,7 @@
 import itertools
 import json
 from functools import reduce
-from operator import or_
+from operator import le, or_
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,8 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from borelcell import exact, resolution
 from borelcell.borel import BorelIdeal, expand_principal
-from borelcell.builders import borel_complex, power_complex, principal_complex
-from borelcell.complexes import Cell, LabeledComplex, restrict, simplex
+from borelcell.builders import (
+    borel_complex,
+    induced_complex,
+    power_complex,
+    principal_complex,
+)
+from borelcell.complexes import LabeledComplex, restrict, simplex
 from borelcell.exact import Field, rank_mod_p, rank_rationals
 from borelcell.koszul import upper_koszul
 from borelcell.lattice import build_lattice
@@ -63,12 +68,21 @@ def taylor_on_squares():
 
 
 def flip_one_sign(X, dim):
-    """A stub of X with the first facet sign of its first dim-cell flipped."""
-    cells = list(X.cells)
-    c = next(c for c in cells if c.dim == dim)
-    (fid, sign), *rest = c.facets
-    cells[c.id] = Cell(c.id, c.dim, c.vertices, c.label, ((fid, -sign), *rest))
-    return SimpleNamespace(cells=tuple(cells), vertex_labels=X.vertex_labels, n=X.n)
+    """A stub of X whose finished complex has the first facet sign of its
+    first dim-cell flipped: the one attribute that verify reads."""
+    C = chain_complex(X)
+    columns = list(C.columns)
+    i = C.dims.index(dim)
+    (fid, sign), *rest = columns[i]
+    columns[i] = ((fid, -sign), *rest)
+    flipped = ChainComplex(C.dims, C.vertices, C.labels, tuple(columns))
+    return SimpleNamespace(_chain=flipped)
+
+
+def differential(dims, columns):
+    """A hand-made ChainComplex for the square check, which reads only dims
+    and columns; its cells get no vertices and the unit label."""
+    return ChainComplex(dims, ((),) * len(dims), ((0,),) * len(dims), columns)
 
 
 class TestChainComplex:
@@ -93,7 +107,7 @@ class TestChainComplex:
 
     def test_boundary_squared_nonzero_detected(self):
         # one vertex, two edges on it, a 2-cell on both edges with equal signs
-        bad = ChainComplex(
+        bad = differential(
             dims=(0, 1, 1, 2), columns=((), ((0, 1),), ((0, 1),), ((1, 1), (2, 1)))
         )
         assert not check_boundary_squared_zero(bad)
@@ -101,30 +115,38 @@ class TestChainComplex:
     def test_boundary_squared_cancellation_needs_every_term(self):
         # one column of the square sums two nonzero terms; dropping or
         # double-counting either one would be noticed
-        good = ChainComplex(
+        good = differential(
             dims=(0, 1, 1, 2), columns=((), ((0, 1),), ((0, 1),), ((1, 1), (2, -1)))
         )
         assert check_boundary_squared_zero(good)
         # a second vertex under the second edge only: that row keeps -1
-        bad = ChainComplex(
+        bad = differential(
             dims=(0, 0, 1, 1, 2),
             columns=((), (), ((0, 1),), ((0, 1), (1, 1)), ((2, 1), (3, -1))),
         )
         assert not check_boundary_squared_zero(bad)
 
     def test_facet_label_must_divide_cell_label(self):
-        # cells that no LabeledComplex would produce: the edge label misses b
-        cells = (
-            Cell(id=0, dim=0, vertices=(0,), label=m("a"), facets=()),
-            Cell(id=1, dim=0, vertices=(1,), label=m("b"), facets=()),
-            Cell(id=2, dim=1, vertices=(0, 1), label=m("a"), facets=((0, 1), (1, -1))),
-        )
-        with pytest.raises(ValueError, match="does not divide"):
-            chain_complex(SimpleNamespace(cells=cells))
-        # verify builds its differential with chain_complex
-        stub = SimpleNamespace(cells=cells, vertex_labels=(m("a"), m("b")), n=3)
-        with pytest.raises(ValueError, match="does not divide"):
-            verify_resolution(stub, expand_principal(m("b")))
+        # nothing checks this at run time: a label is the lcm of its cell's
+        # vertex labels, so a facet's label divides its cell's, and an
+        # import rejects a file label that is not that lcm
+        built = [power_complex(4, VarRange(1, 4), 4)]
+        for n, gens in [(4, ["b*d^2"]), (5, ["x2*x3*x5", "x1*x4^2"])]:
+            I = BorelIdeal.from_borel_gens(n, [m(g, n) for g in gens])
+            built += [borel_complex(I), induced_complex(I)]
+        for X in built + golden_complexes():
+            C = chain_complex(X)
+            vs = X.vertex_labels
+            for cell, label, column in zip(C.vertices, C.labels, C.columns):
+                assert label == lcm_many(vs[i] for i in cell).exps
+                for fid, _ in column:
+                    assert all(map(le, C.labels[fid], label))
+        # an edge whose file label misses one of its endpoints
+        data = json.loads((DATA / "complex_P43.json").read_text())
+        edge = next(rec for rec in data["cells"] if rec["dim"] == 1)
+        edge["label"] = data["vertices"][edge["vertices"][0]]["label"]
+        with pytest.raises(ValueError, match="lcm of its vertices"):
+            dict_to_complex(data)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_verify_fails_a_flipped_facet_sign(self, dim):
@@ -219,7 +241,7 @@ class TestVerifyResolution:
         # P(5,3): the lattice of 1,004 elements, the kernel and the degree
         # strings run on exponent tuples; nothing is re-validated
         X = power_complex(5, VarRange(1, 5), 3)
-        X.cells
+        chain_complex(X)
         I = expand_principal(m("x5^3", 5))
         built = []
         check = Monomial.__init__
@@ -348,16 +370,17 @@ small_borel = st.integers(2, 4).flatmap(
 # ---- the dense boundary matrices that ChainComplex replaced, as reference
 
 
-def dense_boundary_matrices(cells):
+def dense_boundary_matrices(C):
     """Sign matrices between consecutive dimensions, rows and columns in cell
     id order: matrices[d - 1][row][col] maps d-cells to (d - 1)-cells."""
-    top = max((c.dim for c in cells), default=-1)
-    by_dim = [[c.id for c in cells if c.dim == d] for d in range(top + 1)]
+    top = max(C.dims, default=-1)
+    ids = range(len(C.dims))
+    by_dim = [[i for i in ids if C.dims[i] == d] for d in range(top + 1)]
     matrices = []
     for d in range(1, top + 1):
         mat = [[0] * len(by_dim[d]) for _ in by_dim[d - 1]]
         for col, i in enumerate(by_dim[d]):
-            for fid, sign in cells[i].facets:
+            for fid, sign in C.columns[i]:
                 mat[by_dim[d - 1].index(fid)][col] = sign
         matrices.append(mat)
     return [len(ids) for ids in by_dim], matrices
@@ -372,8 +395,8 @@ def dense_squares_to_zero(matrices):
     )
 
 
-def dense_reduced_homology(cells, fld):
-    f, matrices = dense_boundary_matrices(cells)
+def dense_reduced_homology(C, fld):
+    f, matrices = dense_boundary_matrices(C)
     # the augmentation C_0 -> k has rank 1; nothing maps onto the top cells
     ranks = [1] + [fld.rank([list(r) for r in M]) for M in matrices] + [0]
     return (0,) + tuple(f[i] - ranks[i] - ranks[i + 1] for i in range(len(f)))
@@ -393,20 +416,19 @@ class TestAgainstDenseMatrices:
     def test_golden_complexes_and_flipped_signs(self, field_text):
         fld = Field.parse(field_text)
         for X in golden_complexes():
-            assert check_boundary_squared_zero(chain_complex(X))
-            assert dense_squares_to_zero(dense_boundary_matrices(X.cells)[1])
-            assert homology_dims(X, fld) == dense_reduced_homology(X.cells, fld)
+            C = chain_complex(X)
+            assert check_boundary_squared_zero(C)
+            assert dense_squares_to_zero(dense_boundary_matrices(C)[1])
+            assert homology_dims(X, fld) == dense_reduced_homology(C, fld)
             for dim in range(1, X.dim + 1):
                 stub = flip_one_sign(X, dim)
                 C = chain_complex(stub)
                 square = check_boundary_squared_zero(C)
-                assert square == dense_squares_to_zero(
-                    dense_boundary_matrices(stub.cells)[1]
-                )
+                assert square == dense_squares_to_zero(dense_boundary_matrices(C)[1])
                 assert not square, (X.n, dim)
-                every = range(len(stub.cells))
+                every = range(len(C.dims))
                 assert _residual_homology(C, every, X.dim, fld) == (
-                    dense_reduced_homology(stub.cells, fld)
+                    dense_reduced_homology(C, fld)
                 )
 
     @given(small_borel, st.sampled_from(["q", "p:2"]))
@@ -416,7 +438,7 @@ class TestAgainstDenseMatrices:
         X = borel_complex(BorelIdeal.from_borel_gens(n, gens))
         fld = Field.parse(field_text)
         assert check_boundary_squared_zero(chain_complex(X))
-        assert homology_dims(X, fld) == dense_reduced_homology(X.cells, fld)
+        assert homology_dims(X, fld) == dense_reduced_homology(chain_complex(X), fld)
 
     def test_verify_runs_the_public_differential(self, monkeypatch):
         calls = []
@@ -661,13 +683,13 @@ def kernel_paths(X, I, fld=Q):
         calls.append((current[-1], live, base, left))
         return left
 
-    def tracked(X, C, fld, degrees):
+    def tracked(C, n, fld, degrees):
         def walk():
             for b in degrees:
                 current.append(b)
                 yield b
 
-        return checks(X, C, fld, walk())
+        return checks(C, n, fld, walk())
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(resolution, "_collapse", spy)
@@ -750,6 +772,28 @@ class TestKernelPaths:
         assert ("stuck", "fail") in seen
         assert ("lower failed", "fail") in seen
         assert ("nerve", "pass") in seen
+
+    def test_degree_above_a_failed_degree_starts_from_the_empty_base(self):
+        # edges a^2-ab, a^2-ac and ab-bc, with b^2 and c^2 isolated: a*b*c
+        # selects the edge ab-bc and the point ac, and fails; that is the
+        # lower selection of a^2*b*c, which selects the whole tree, so the
+        # kernel, keeping only failed selections, decides it from the empty
+        # base and passes it, as the absolute kernel does
+        faces = {fs([t]): 0 for t in ("a^2", "a*b", "b^2", "a*c", "b*c", "c^2")}
+        for edge in (["a*b", "a^2"], ["a*c", "a^2"], ["a*b", "b*c"]):
+            faces[fs(edge)] = 1
+        X = LabeledComplex(3, faces)
+        I = expand_principal(m("c^2"))
+        report, paths = kernel_paths(X, I)
+        degrees = [Monomial(b) for b in report.degrees]
+        assert list(report.checks[1:]) == absolute_acyclicity_checks(X, Q, degrees)
+        decided = dict(zip(report.degrees, zip(paths, report.checks[1:])))
+        _, below = decided[m("a*b*c").exps]
+        assert below.status == "fail"
+        assert below.witness == {"reduced_homology": [0, 1, 0], "first_nonzero": 0}
+        path, above = decided[m("a^2*b*c").exps]
+        assert path == "lower failed"
+        assert (above.status, above.witness) == ("pass", None)
 
     def test_one_collapse_per_golden_drop_mutant_degree(self):
         # a stuck degree is ranked relative to its lower selection, never

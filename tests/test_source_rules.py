@@ -1,6 +1,7 @@
 """Source rules of the package: standard library only, no asserts, a
-package namespace that exports the documented library alone, and a cold
-import that loads neither dataclasses nor hashlib.
+package namespace that exports the documented library alone, a cold
+import that loads neither dataclasses nor hashlib, and `Cell` objects only
+in complexes.py.
 
 `python -O` strips assert statements, so an invariant written as one is
 silently unchecked; every check in the package raises instead.
@@ -90,6 +91,46 @@ def test_verify_never_computes_lattice_covers():
         names = [getattr(node, k, None) for k in ("attr", "id", "name", "value")]
         for name in ("covers", "lower_covers", "_lower_covers"):
             assert name not in names, f"resolution.py:{getattr(node, 'lineno', '?')}"
+
+
+def cell_view_uses(source: str) -> list[int]:
+    """Lines of source that name `Cell` (imported, as an attribute or a
+    getattr string) or read a `cells` attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            hit = node.id == "Cell"
+        elif isinstance(node, ast.alias):
+            hit = node.name == "Cell"
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in ("Cell", "cells")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+            "getattr", "hasattr"
+        ):
+            hit = getattr(node.args[1], "value", None) in ("Cell", "cells")
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_cell_objects_only_at_the_edge():
+    """Every module but complexes.py reads the finished complex's arrays,
+    never the `cells` view or its `Cell` objects."""
+    for path in SOURCES:
+        if path.name != "complexes.py":
+            assert cell_view_uses(path.read_text(encoding="utf-8")) == [], path.name
+    # the rule catches each way of reaching the view
+    for bad in (
+        "from .complexes import Cell",
+        "from .complexes import Cell as C",
+        "import borelcell.complexes as m\nm.Cell",
+        "X.cells",
+        "getattr(X, 'cells')",
+    ):
+        assert cell_view_uses(bad), bad
+    assert cell_view_uses('cells = data["cells"]\nchain_complex(X)') == []
 
 
 def test_package_exports_the_readme_library():

@@ -72,7 +72,7 @@ FIELDS = {
     LcmLattice: ("n", "atoms", "exps", "below"),
     RankedReport: ("ranked", "criterion", "witness_cover", "witness_interval"),
     LabelChainReport: ("lo", "hi", "chains", "labels", "increasing", "decreasing"),
-    ChainComplex: ("dims", "columns"),
+    ChainComplex: ("dims", "vertices", "labels", "columns"),
     CheckResult: ("name", "status", "exps", "witness"),
     ResolutionReport: ("ok", "field", "checks", "subject", "degrees"),
 }
@@ -254,9 +254,17 @@ class TestReports:
         )
 
     def test_chain_complex(self):
-        C = ChainComplex(dims=(0, 0, 1), columns=((), (), ((0, 1), (1, -1))))
-        assert C == ChainComplex((0, 0, 1), ((), (), ((0, 1), (1, -1))))
-        assert hash(C) == hash((C.dims, C.columns))
+        fields = (
+            (0, 0, 1),
+            ((0,), (1,), (0, 1)),
+            ((1, 0), (0, 1), (1, 1)),
+            ((), (), ((0, 1), (1, -1))),
+        )
+        C = ChainComplex(dims=fields[0], vertices=fields[1], labels=fields[2],
+                         columns=fields[3])
+        assert C == ChainComplex(*fields)
+        assert hash(C) == hash(fields)
+        assert C != ChainComplex(*fields[:3], ((), (), ((0, -1), (1, 1))))
 
     def test_resolution_report_ignores_subject_and_degrees(self):
         X = power_complex(2, VarRange(1, 2), 2)
