@@ -11,9 +11,9 @@ Commands:
 
 Exit codes: 0 all checks pass, 1 a verification-type check fails, 2 input
 error.  Human summaries go to standard output; machine artifacts go to
---out / --report as UTF-8 JSON.  Report files embed the tool version and a
-hash of the semantic configuration (never file paths or the job count), so
-identical tasks yield byte-identical artifacts, for any --jobs value.
+--out / --report as UTF-8 JSON, written a record at a time.  Reports embed
+the tool version and a hash of the semantic configuration (never file paths
+or the job count), so identical tasks yield byte-identical artifacts.
 
 Letters a..d are accepted for x1..x4 on input; JSON always uses the x<i>
 spelling.
@@ -53,7 +53,7 @@ from .resolution import (
     check_minimal,
     verify_resolution,
 )
-from .serialize import _array, _string, export_json, import_json
+from .serialize import _array, _string, _write, export_json, import_json
 
 __all__ = ["main"]
 
@@ -90,7 +90,7 @@ def _config_hash(config: dict) -> str:
 
 
 def _dumps(value, pad: str = "") -> str:
-    """json.dumps(value, indent=2, sort_keys=True) of a report, written
+    """json.dumps(value, indent=2, sort_keys=True), any iterable a list, written
     directly: an indent makes json fall back to its pure-Python encoder."""
     if isinstance(value, str):
         return _string(value)
@@ -98,9 +98,25 @@ def _dumps(value, pad: str = "") -> str:
     if isinstance(value, dict):
         items = [f"{_string(k)}: {_dumps(v, sub)}" for k, v in sorted(value.items())]
         return _array(items, pad, "{}")
-    if isinstance(value, (list, tuple)):
+    if hasattr(value, "__iter__"):
         return _array([_dumps(v, sub) for v in value], pad)
     return json.dumps(value)
+
+
+def _chunks(value, pad: str = "", depth: int = 2):
+    """_dumps(value, pad) of a dict or list in pieces, one per item; the
+    items of containers fewer than depth levels down come in pieces too."""
+    sub, keyed = pad + "  ", isinstance(value, dict)
+    sep = "{" if keyed else "["
+    for k, v in sorted(value.items()) if keyed else enumerate(value):
+        head = f"{sep}\n{sub}{_string(k)}: " if keyed else f"{sep}\n{sub}"
+        if depth > 1 and not isinstance(v, str) and hasattr(v, "__iter__"):
+            yield head
+            yield from _chunks(v, sub, depth - 1)
+        else:
+            yield head + _dumps(v, sub)
+        sep = ","
+    yield (f"\n{pad}" if sep == "," else sep) + ("}" if keyed else "]")
 
 
 def _write_report(path: str, config: dict, body: dict) -> None:
@@ -111,8 +127,7 @@ def _write_report(path: str, config: dict, body: dict) -> None:
         "config_hash": _config_hash(config),
     }
     doc.update(body)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(doc) + "\n")
+    _write(path, _chunks(doc))
 
 
 def _run_gen(ns: argparse.Namespace) -> int:
@@ -215,10 +230,8 @@ def _run_verify(ns: argparse.Namespace) -> int:
             "field": str(ns.field),
             "ideal": _ideal_config(I),
         }
-        checks = [c.as_dict() for c in report.checks]
-        checks.append(
-            CheckResult("minimal", "pass" if minimal else "fail").as_dict()
-        )
+        last = CheckResult("minimal", "pass" if minimal else "fail")
+        checks = (c.as_dict() for c in (*report.checks, last))
         _write_report(ns.report, config, {"ok": ok, "checks": checks})
     return 0 if ok else 1
 
@@ -330,15 +343,17 @@ def _run_lattice(ns: argparse.Namespace) -> int:
         }
         rc = 0
     if ns.out:
-        upper: dict[tuple[int, ...], list[str]] = {e: [] for e in L.exps}
+        # one text per element, shared by its covers
+        text = dict(zip(L.exps, map(_exps_text, L.exps)))
+        covers: dict[str, list[str]] = {t: [] for t in text.values()}
         for b, cs in L.lower_covers.items():  # canonical order
             for c in cs:
-                upper[c].append(_exps_text(b))
+                covers[text[c]].append(text[b])
         body = {
             "vars": n,
             "atoms": config["atoms"],
-            "elements": [_exps_text(e) for e in L.exps],
-            "covers": {_exps_text(e): cs for e, cs in upper.items()},
+            "elements": text.values(),
+            "covers": covers,
             "result": result,
         }
         _write_report(ns.out, config, body)

@@ -13,9 +13,10 @@ is live, the g dividing x^b; strict[v] = live & below[v][b_v - 1] holds the
 g with v in S_g, and U = {v : strict[v] != 0} is the union of the faces.
 K^b is the full simplex on U, a cone or {empty face}, exactly when some S_g
 is U: when live stays nonzero ANDed with each nonzero strict[v].  That is
-most lattice degrees, and they need no face set and no rank.  The rest
-enumerate the submasks of their S_g and go through the same exact kernel as
-the resolution checks, on independently built matrices.
+most lattice degrees.  If instead every U - {v} is an S_g, K^b is the
+boundary of the simplex on U, with H_{|U|-2} = k alone.  Neither needs a
+face set or a rank.  The rest enumerate the submasks of their S_g and go
+through the resolution checks' exact kernel, on independently built matrices.
 """
 from __future__ import annotations
 
@@ -145,8 +146,11 @@ def betti_via_koszul(
     below = _below_masks([g.exps for g in gens], gens[0].n)
     for b in degrees:
         tops = _tops(below, b)
+        union = reduce(or_, tops, 0)
         if len(tops) == 1:
-            dims = _full_simplex_homology(tops[0])
+            dims = _full_simplex_homology(union)
+        elif tops and all(union ^ (1 << v) in tops for v in _bits(union)):
+            dims = (0,) * (union.bit_count() - 1) + (1,)
         else:
             dims = simplicial_homology(_union_of_simplices(tops), fld)
         if any(dims):  # beta_{i,b} = H_{i-1}, i = the position in dims

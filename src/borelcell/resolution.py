@@ -153,7 +153,7 @@ class CheckResult(_Value):
 
     def as_dict(self) -> dict:
         out = {"name": self.name, "status": self.status}
-        if self.degree is not None:
+        if self.exps is not None:
             out["degree"] = self.degree
         if self.witness is not None:
             out["witness"] = self.witness

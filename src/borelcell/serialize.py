@@ -9,17 +9,19 @@ Schema:
 
 Export lists vertices rlex-descending by label and cells by (dim, sorted
 vertex ids), numbering both from 0, so vertex ids coincide with the ids of
-the dimension-0 cells; labels always use the x<i> spelling.  Import accepts
-any unique integer ids in any record order: it builds the face bitmasks
-straight from the file's vertex ids and renumbers vertices and cells
-canonically, so a file with shifted ids or reordered records imports and
-re-exports to the canonical bytes.  Import checks the JSON's shape (types,
-known and unrepeated ids, unit signs, one dimension per vertex set, a
-0-cell per vertex record) and hands the signs over per cell, as
-{cell mask: {facet mask: sign}}; the `_finalize` that checks built
-complexes then checks them and every structural invariant.  Structural, sign
-and label violations are rejected, never repaired; an export-import round
-trip is the identity on cells and signs.
+the dimension-0 cells; labels always use the x<i> spelling.  The text is
+written a cell at a time, once the complex is finished, so a failed check
+leaves the file as it was.  Import accepts any unique integer ids in any
+record order: it builds the face bitmasks straight from the file's vertex
+ids and renumbers vertices and cells canonically, so a file with shifted ids
+or reordered records imports and re-exports to the canonical bytes.  Import
+checks the JSON's shape (types, known and unrepeated ids, unit signs, one
+dimension per vertex set, a 0-cell per vertex record) and keeps the signs
+per cell, as {cell mask: {facet mask: sign}}, and the label texts; the
+document is freed before the `_finalize` that checks built complexes checks
+the signs and every structural invariant.  Structural, sign and label
+violations are rejected, never repaired; an export-import round trip is the
+identity on cells and signs.
 """
 from __future__ import annotations
 
@@ -64,32 +66,44 @@ def _array(items, pad: str, ends: str = "[]") -> str:
     return f"{ends[0]}\n{pad}  {inner}\n{pad}{ends[1]}" if items else ends
 
 
-def dumps(X: LabeledComplex) -> str:
-    """json.dumps(complex_to_dict(X), indent=2) and a newline, written
-    directly: an indent makes json fall back to its pure-Python encoder."""
+def _pieces(X: LabeledComplex):
+    """dumps(X) in pieces: the header with the vertices, a cell each, the tail."""
     vertices = [
         f'{{\n      "id": {i},\n      "label": {_string(_exps_text(v))}\n    }}'
         for i, v in enumerate(X._verts)
     ]
     C = X._chain
-    cells = []
+    yield f'{{\n  "vars": {X.n},\n  "vertices": {_array(vertices, "  ")},\n  "cells": ['
     for i, (d, ids, e, col) in enumerate(zip(C.dims, C.vertices, C.labels, C.columns)):
         vs = _array([str(v) for v in ids], "      ")
         pairs = [f"[\n          {f},\n          {s}\n        ]" for f, s in col]
-        cells.append(
-            f'{{\n      "id": {i},\n      "dim": {d},\n      "vertices": {vs},\n'
+        yield (
+            f'{"," if i else ""}\n    {{\n      "id": {i},\n      "dim": {d},\n'
+            f'      "vertices": {vs},\n'
             f'      "label": {_string(_exps_text(e))},\n'
             f'      "facets": {_array(pairs, "      ")}\n    }}'
         )
-    return (
-        f'{{\n  "vars": {X.n},\n  "vertices": {_array(vertices, "  ")},\n'
-        f'  "cells": {_array(cells, "  ")}\n}}\n'
-    )
+    yield "\n  ]\n}" if C.dims else "]\n}"
+
+
+def dumps(X: LabeledComplex) -> str:
+    """json.dumps(complex_to_dict(X), indent=2) and a newline, written
+    directly: an indent makes json fall back to its pure-Python encoder."""
+    return "".join(_pieces(X)) + "\n"
+
+
+def _write(path: str, pieces) -> None:
+    """Write the pieces and a newline to path; the first before it opens."""
+    head = next(pieces)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        for piece in pieces:
+            fh.write(piece)
+        fh.write("\n")
 
 
 def export_json(X: LabeledComplex, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(X))
+    _write(path, _pieces(X))
 
 
 def _invalid(message) -> ValueError:
@@ -107,7 +121,9 @@ _VERTEX_FIELDS = {"id", "label"}
 _CELL_FIELDS = {"id", "dim", "vertices", "label", "facets"}
 
 
-def dict_to_complex(data: dict) -> LabeledComplex:
+def _read(data: dict):
+    """A complex file's shape-checked records: vars, the vertex exponent
+    tuples, {face mask: dim}, the signs and {cell mask: label text}."""
     # ints are tested with `type(x) is int`: JSON true/false load as bool,
     # a subclass of int with 1 == True and 0 == False
     if not isinstance(data, dict):
@@ -186,24 +202,32 @@ def dict_to_complex(data: dict) -> LabeledComplex:
             if keys[fid] in listed:  # cell ids and vertex sets correspond 1:1
                 raise _invalid("facet ids listed once")
             listed[keys[fid]] = sign
+    return n, tuple(verts), faces, signs, {keys[r["id"]]: r["label"] for r in recs}
 
+
+def _build(n: int, verts: tuple, faces: dict, signs: dict, texts: dict):
     try:
         # the constructor and `_chain` re-assert every structural invariant
         # and check the signs against the facet relation they derive
-        X = LabeledComplex._from_masks(n, tuple(verts), faces, signs)
+        X = LabeledComplex._from_masks(n, verts, faces, signs)
         X._chain
     except ValueError as exc:
         raise _invalid(exc) from exc
     labels = X._label_exps
-    for rec in recs:
+    for key, text in texts.items():
         # a canonically spelled label needs no parse
-        e, text = labels[keys[rec["id"]]], rec["label"]
+        e = labels[key]
         if text != _exps_text(e) and _parse_label(text, n).exps != e:
             raise _invalid("cell label is the lcm of its vertices")
     return X
 
 
+def dict_to_complex(data: dict) -> LabeledComplex:
+    return _build(*_read(data))
+
+
 def import_json(path: str) -> LabeledComplex:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return dict_to_complex(data)
+        # only an argument holds the document: it is freed before _build
+        records = _read(json.load(fh))
+    return _build(*records)

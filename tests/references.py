@@ -1,6 +1,8 @@
 """Helpers the package does not ship, kept here for the tests that use
-them: a seeded random Borel ideal, a label scaling of a complex, and the
-scan-and-BFS `finalize_reference` that `LabeledComplex._finalize` replaced."""
+them: a seeded random Borel ideal, a label scaling of a complex, the
+scan-and-BFS `finalize_reference` that `LabeledComplex._finalize` replaced,
+and a recorder of the writes to files opened for writing."""
+import builtins
 import random
 
 from borelcell.borel import BorelIdeal
@@ -122,3 +124,30 @@ def finalize_reference(X):
              tuple((t, sign[i][t]) for t in facets[i]))
         for i, f in enumerate(keys)
     )
+
+
+def record_writes(monkeypatch):
+    """The texts passed to each write of a file opened for writing while
+    monkeypatch is active, in order."""
+    writes, real_open = [], builtins.open
+
+    class Recorded:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            writes.append(text)
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return Recorded(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    return writes

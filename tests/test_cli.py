@@ -16,6 +16,7 @@ from borelcell.cli import main
 from borelcell.complexes import LabeledComplex, simplex
 from borelcell.monomials import parse_monomial
 from borelcell.serialize import dict_to_complex, export_json
+from references import record_writes
 
 BC5 = ["a^2", "a*b", "b^2", "a*c", "b*c"]
 MIXED = ["--vars", "4", "--borel", "ab,ac,a*d^2,b^2*c*d^2"]
@@ -708,6 +709,54 @@ class TestReportEncoding:
     )
     def test_encoder_matches_json_dumps(self, value):
         assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [[], {}, [[]], [1, [2, [3, []]]], {"b": [{"a": [0, ["x"]]}], "a": [], "c": 1}],
+    )
+    def test_any_iterable_is_a_list_read_once(self, value):
+        def lazy(v):  # every list of value as a generator
+            if isinstance(v, list):
+                return (lazy(x) for x in v)
+            if isinstance(v, dict):
+                return {k: lazy(x) for k, x in v.items()}
+            return v
+
+        want = json.dumps(value, indent=2, sort_keys=True)
+        assert cli._dumps(lazy(value)) == want
+        for depth in (1, 2, 3):
+            assert "".join(cli._chunks(lazy(value), depth=depth)) == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--in", "{src}", "--report", "{out}"],
+            ["lattice", *MIXED, "--check", "ranked", "--out", "{out}"],
+        ],
+        ids=["verify", "lattice"],
+    )
+    def test_reports_are_written_a_record_at_a_time(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        src, out = tmp_path / "p33.json", tmp_path / "report.json"
+        run(capsys, "complex", "P", "--vars", "3", "--degree", "3", "--out", str(src))
+        writes = record_writes(monkeypatch)
+        run(capsys, *(a.format(src=src, out=out) for a in argv))
+        text = out.read_text(encoding="utf-8")
+        assert "".join(writes) == text
+        # a record: an item of a top-level list or dict, or a top-level
+        # scalar; 4 more spaces per line at depth 2, and 64 characters for
+        # the key and the separators
+        records = []
+        for v in json.loads(text).values():
+            if isinstance(v, (list, dict)):
+                records += v.values() if isinstance(v, dict) else v
+            else:
+                records.append(v)
+        dumped = [json.dumps(r, indent=2, sort_keys=True) for r in records]
+        longest = max(len(d) + 4 * d.count("\n") for d in dumped) + 64
+        assert len(text) > 2 * longest
+        assert max(map(len, writes)) <= longest
 
 
 def single_edit_mutants(doc):

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 from pathlib import Path
 
@@ -10,12 +11,14 @@ from borelcell.builders import borel_complex, power_complex, principal_complex
 from borelcell.complexes import LabeledComplex
 from borelcell.monomials import VarRange, monomials_of_degree, parse_monomial, rlex_cmp
 from borelcell.serialize import (
+    _CELL_FIELDS,
     complex_to_dict,
     dict_to_complex,
     dumps,
     export_json,
     import_json,
 )
+from references import record_writes
 
 
 DATA = Path(__file__).parent / "data"
@@ -156,6 +159,56 @@ class TestRoundTrip:
         export_json(X, str(path))
         assert import_json(str(path)) == X
         assert path.read_text().endswith("\n")
+
+
+class TestStreaming:
+    """export_json writes a cell at a time, a failed export leaves the old
+    file, and import_json drops the parsed document before the checks."""
+
+    def test_export_writes_one_cell_at_a_time(self, tmp_path, monkeypatch):
+        X = power_complex(3, VarRange(1, 3), 3)
+        writes = record_writes(monkeypatch)
+        export_json(X, str(tmp_path / "p33.json"))
+        assert "".join(writes) == dumps(X)
+        head, cells, tail = writes[0], writes[1:-2], writes[-2:]
+        assert '"dim"' not in head and tail == ["\n  ]\n}", "\n"]
+        # each piece is a separator and one whole cell record
+        records = [json.loads(w.lstrip(",")) for w in cells]
+        assert records == complex_to_dict(X)["cells"]
+
+    def test_a_failed_export_leaves_the_old_file(self, tmp_path):
+        # a square missing its edge da: the diamond property fails at a and d
+        faces = {frozenset([parse_monomial(t, 4)]): 0 for t in "abcd"}
+        faces[frozenset(parse_monomial(t, 4) for t in "abcd")] = 2
+        for e in ["ab", "bc", "cd"]:
+            faces[frozenset(parse_monomial(t, 4) for t in e)] = 1
+        path = tmp_path / "complex.json"
+        export_json(p2abc(), str(path))
+        old = path.read_bytes()
+        with pytest.raises(ValueError, match="diamond property fails"):
+            export_json(LabeledComplex(4, faces), str(path))
+        assert path.read_bytes() == old
+
+    def test_the_document_is_freed_before_the_checks(self, monkeypatch):
+        alive = []
+        finalize = LabeledComplex._finalize
+
+        def counting(X):
+            alive.append(
+                sum(
+                    1
+                    for o in gc.get_objects()
+                    if type(o) is dict and o.keys() == _CELL_FIELDS
+                )
+            )
+            return finalize(X)
+
+        monkeypatch.setattr(LabeledComplex, "_finalize", counting)
+        path = DATA / "complex_P43.json"
+        X = import_json(str(path))
+        # the control: dict_to_complex's caller holds the document
+        dict_to_complex(json.loads(path.read_text(encoding="utf-8")))
+        assert alive == [0, len(X)]
 
 
 class TestImportValidation:
