@@ -10,7 +10,9 @@ principal_complex(n, m) resolves the smallest Borel fixed ideal containing
 m.  It follows the monomial-times-power decomposition of the ideal: each
 summand N_k * (x_k..x_top)^{d_s} contributes the product of the complex for
 N_k with a power complex, all glued by union.  A pure power is the base
-case: its complex is a power complex.
+case: its complex is a power complex.  Both glue in the union's vertex
+order (`complexes._glue`): each product's faces are built as masks over
+the union's vertex labels, sorted once, and never renumbered.
 
 borel_complex(I) glues the principal complexes of the Borel generators;
 induced_complex(I) instead carves the vertex-spanned subcomplex out of the
@@ -21,13 +23,7 @@ from __future__ import annotations
 from functools import cache
 
 from .borel import BorelIdeal, principal_decomposition
-from .complexes import (
-    LabeledComplex,
-    product,
-    simplex,
-    spanned_subcomplex,
-    union,
-)
+from .complexes import LabeledComplex, _glue, simplex, spanned_subcomplex, union
 from .monomials import Monomial, VarRange, variable
 
 __all__ = [
@@ -44,15 +40,11 @@ def _power(n: int, lo: int, hi: int, d: int) -> LabeledComplex:
         return simplex([variable(n, i) for i in range(lo, hi + 1)])
     if lo == hi:
         return simplex([Monomial(tuple(d if j == lo - 1 else 0 for j in range(n)))])
-    return union(
-        *(
-            product(
-                simplex([variable(n, i) for i in range(lo, k + 1)]),
-                _power(n, k, hi, d - 1),
-            )
-            for k in range(lo, hi + 1)
-        )
-    )
+    pairs = [
+        (simplex([variable(n, i) for i in range(lo, k + 1)]), _power(n, k, hi, d - 1))
+        for k in range(lo, hi + 1)
+    ]
+    return _glue(pairs)
 
 
 def power_complex(n: int, rng: VarRange, d: int) -> LabeledComplex:
@@ -69,11 +61,11 @@ def _principal(n: int, exps: tuple[int, ...]) -> LabeledComplex:
     support = [i + 1 for i, e in enumerate(exps) if e]
     if len(support) == 1:
         return power_complex(n, VarRange(1, support[0]), exps[support[0] - 1])
-    return union(
-        *(
-            product(_principal(n, nk.exps), power_complex(n, rng, exps[rng.hi - 1]))
+    return _glue(
+        [
+            (_principal(n, nk.exps), power_complex(n, rng, exps[rng.hi - 1]))
             for nk, rng in principal_decomposition(Monomial(exps))
-        )
+        ]
     )
 
 

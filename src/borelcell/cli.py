@@ -21,8 +21,8 @@ spelling.
 The argument parser is built once per process, on the first call of main,
 and reused by later calls; the environment ($BORELCELL_FIELD, the default
 field of verify and betti) is still read on every call of those two.
-hashlib, which loads OpenSSL, is imported by the first report written
-(verify --report, lattice --out), not by `import borelcell.cli`.
+A report's config hash is the interpreter's builtin sha256, so no command
+loads hashlib or OpenSSL; hashlib is the fallback for a build without it.
 """
 from __future__ import annotations
 
@@ -84,8 +84,16 @@ def _equal_degree_ideal(n: int, kind: str, gens) -> BorelIdeal:
 
 
 def _config_hash(config: dict) -> str:
-    import hashlib  # loads OpenSSL: only commands that write a report pay
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
+    # the builtin sha256 module (_sha256 to 3.11, _sha2 from 3.12, each a
+    # standard module on its versions alone) skips hashlib's OpenSSL
+    for name in ("_sha256", "_sha2"):
+        try:
+            return __import__(name).sha256(blob).hexdigest()
+        except ImportError:
+            pass
+    import hashlib  # loads OpenSSL
+
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -249,7 +257,6 @@ def _run_betti(ns: argparse.Namespace) -> int:
     method = ns.method or "all"
     wanted = ["cellular", "koszul", "ek"] if method == "all" else [method]
     vals: dict[str, tuple[int, ...]] = {}
-    degrees = None  # the lattice degrees, once the cellular check built them
     if "cellular" in wanted:
         X = borel_complex(I)
         report = verify_resolution(X, I, ns.field)
@@ -258,9 +265,8 @@ def _run_betti(ns: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"cellular method: {exc}")
             return 1
-        degrees = report.degrees
-    if "koszul" in wanted:
-        vals["koszul"] = betti_totals(betti_via_koszul(I.expanded, degrees, ns.field))
+    if "koszul" in wanted:  # decided on its own walk of the lcm lattice
+        vals["koszul"] = betti_totals(betti_via_koszul(I.expanded, fld=ns.field))
     if "ek" in wanted:
         vals["ek"] = eliahou_kervaire_betti(I)
 

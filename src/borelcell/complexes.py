@@ -427,28 +427,40 @@ def product(X: LabeledComplex, Y: LabeledComplex) -> LabeledComplex:
     Requires all vertex-label products to be pairwise distinct, the
     combinatorial shadow of the generator-set product staying minimal.
     """
-    if X.n != Y.n:
-        raise ValueError("ambient mismatch")
-    prods = [[tuple(map(add, a, b)) for b in Y._verts] for a in X._verts]
-    verts = sorted({p for row in prods for p in row}, key=_exps_key)
-    if len(verts) != len(X._verts) * len(Y._verts):
-        raise ValueError("vertex-label products collide; product is undefined")
-    vid = {p: i for i, p in enumerate(verts)}
-    ybits = {g: _bits(g) for g in Y._dims}
-    # rows[i][g]: the mask of the product face {vertex i of X} x g
-    rows = [
-        {g: sum(1 << vid[row[j]] for j in js) for g, js in ybits.items()}
-        for row in prods
-    ]
-    faces = {}
-    for f, df in X._dims.items():
-        fr = [rows[i] for i in _bits(f)]
-        for g, dg in Y._dims.items():
-            m = 0
-            for r in fr:
-                m |= r[g]
-            faces[m] = df + dg
-    return LabeledComplex._from_masks(X.n, tuple(verts), faces)
+    return _glue([(X, Y)])
+
+
+def _glue(pairs) -> LabeledComplex:
+    """union(*(product(X, Y) for X, Y in pairs)), with each product's faces
+    built directly over the union's vertices: one sort, no renumbering."""
+    # prods[k][i][j]: the label of vertex i of X times vertex j of Y, pair k
+    prods = []
+    for X, Y in pairs:
+        if X.n != Y.n or X.n != pairs[0][0].n:
+            raise ValueError("ambient mismatch")
+        rows = [[tuple(map(add, a, b)) for b in Y._verts] for a in X._verts]
+        if len(set().union(*rows)) != len(X._verts) * len(Y._verts):
+            raise ValueError("vertex-label products collide; product is undefined")
+        prods.append(rows)
+    verts = tuple(sorted(set().union(*sum(prods, [])), key=_exps_key))
+    bit = {p: 1 << i for i, p in enumerate(verts)}
+    faces: dict[int, int] = {}
+    for (X, Y), rows in zip(pairs, prods):
+        ybits = {g: _bits(g) for g in Y._dims}
+        # cols[i][g]: the mask of the product face {vertex i of X} x g
+        cols = []
+        for row in rows:
+            b = [bit[p] for p in row]
+            cols.append({g: sum([b[j] for j in js]) for g, js in ybits.items()})
+        for f, df in X._dims.items():
+            fc = [cols[i] for i in _bits(f)]
+            for g, dg in Y._dims.items():
+                m = 0
+                for c in fc:
+                    m |= c[g]
+                if faces.setdefault(m, df + dg) != df + dg:
+                    raise ValueError("union glues cells of different dimensions")
+    return LabeledComplex._from_masks(pairs[0][0].n, verts, faces)
 
 
 def _renumber(X: LabeledComplex, verts: tuple, faces: dict[int, int]):

@@ -13,10 +13,14 @@ is live, the g dividing x^b; strict[v] = live & below[v][b_v - 1] holds the
 g with v in S_g, and U = {v : strict[v] != 0} is the union of the faces.
 K^b is the full simplex on U, a cone or {empty face}, exactly when some S_g
 is U: when live stays nonzero ANDed with each nonzero strict[v].  That is
-most lattice degrees.  If instead every U - {v} is an S_g, K^b is the
-boundary of the simplex on U, with H_{|U|-2} = k alone.  Neither needs a
-face set or a rank.  The rest enumerate the submasks of their S_g and go
-through the resolution checks' exact kernel, on independently built matrices.
+most lattice degrees.  Otherwise splitting live by each nonzero strict[v]
+gives the distinct S_g, one per part (at most 2^|U| parts).  If every
+U - {v} is one, K^b is the boundary of the simplex on U, with H_{|U|-2} = k
+alone.  Neither needs a face set or a rank.  The rest enumerate the submasks
+of their S_g and go through the resolution checks' exact kernel, on
+independently built matrices.  With no degrees given, each lcm-lattice
+element is decided as lattice.py's walk reaches it, from the live the walk
+carried; given degrees AND their own.
 """
 from __future__ import annotations
 
@@ -24,8 +28,8 @@ from functools import reduce
 from operator import and_, or_
 
 from .exact import Field
-from .lattice import build_lattice
-from .monomials import Monomial, _below_masks, _bits, _Value
+from .lattice import _atoms, _walk
+from .monomials import Monomial, _below_masks, _bits, _exps_key, _Value
 
 __all__ = [
     "SimplicialComplex",
@@ -89,24 +93,26 @@ def simplicial_homology(K: SimplicialComplex, fld: Field) -> tuple[int, ...]:
     return tuple(len(b) - ranks[d] - ranks[d + 1] for d, b in enumerate(by_dim))
 
 
-def _tops(below: list[list[int]], bx: tuple[int, ...]) -> list[int]:
-    """The distinct S_g of the generators dividing x^b: [] when K^b is void,
-    just [U] when K^b is the full simplex on U (module docstring)."""
-    if len(bx) != len(below):
-        raise ValueError("ambient mismatch")
-    live = reduce(and_, [masks[min(e, len(masks) - 1)] for masks, e in zip(below, bx)])
+def _tops(below, b: tuple[int, ...], live: int) -> list[int]:
+    """The distinct S_g of the generators in live, those dividing x^b: []
+    when K^b is void, just [U] when K^b is the full simplex on U, else one
+    per part of live split by each nonzero strict[v] (module docstring)."""
     if not live:
         return []
-    strict = [
-        live & masks[min(e, len(masks)) - 1] if e else 0
-        for masks, e in zip(below, bx)
-    ]
-    union = sum(1 << v for v, s in enumerate(strict) if s)
-    if reduce(and_, filter(None, strict), live):
+    union, common, strict = 0, live, []
+    for v, e in enumerate(b):
+        if e and (s := live & below[v][e - 1]):
+            union |= 1 << v
+            common &= s
+            strict.append((1 << v, s))
+    if common:
         return [union]
-    return list(
-        {sum(1 << v for v, s in enumerate(strict) if s >> g & 1) for g in _bits(live)}
-    )
+    parts = [(live, 0)]  # (generators, the S_g they share)
+    for bit, s in strict:
+        parts = [
+            p for m, top in parts for p in ((m & s, top | bit), (m & ~s, top)) if p[0]
+        ]
+    return [top for _, top in parts]
 
 
 def _union_of_simplices(tops) -> SimplicialComplex:
@@ -121,10 +127,18 @@ def _union_of_simplices(tops) -> SimplicialComplex:
     return SimplicialComplex(frozenset(faces))
 
 
+def _at(below, b: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """b capped at its masks' lengths, which keeps every S_g, and live."""
+    if len(b) != len(below):
+        raise ValueError("ambient mismatch")
+    c = tuple(map(min, b, map(len, below)))
+    return c, reduce(and_, [ms[min(e, len(ms) - 1)] for ms, e in zip(below, c)])
+
+
 def upper_koszul(gens, b: Monomial) -> SimplicialComplex:
     """Squarefree t with x^b / x^t in the ideal of gens, as a union of simplices."""
     below = _below_masks([g.exps for g in gens], b.n)
-    return _union_of_simplices(_tops(below, b.exps))
+    return _union_of_simplices(_tops(below, *_at(below, b.exps)))
 
 
 def betti_via_koszul(
@@ -132,20 +146,17 @@ def betti_via_koszul(
 ) -> dict[tuple[int, Monomial], int]:
     """Graded Betti numbers from upper Koszul homology.
 
-    degrees are exponent tuples, in any order: each is decided on its own.
-    They default to the lcm lattice above the bottom, which carries all of
-    the support; any superset gives the same nonzero table.
+    With no degrees, every lcm-lattice element above the bottom (together
+    they carry all of the support) is decided as the lattice walk reaches
+    it.  Given degrees are exponent tuples, in any order, each decided on
+    its own; any superset of the lattice gives the same nonzero table.
     """
     gens = list(gens)
-    if degrees is None:
-        # the unit is the only degree-0 element, so it sorts first
-        degrees = build_lattice(gens).exps[1:]
     table: dict[tuple[int, Monomial], int] = {}
-    if not gens:
-        return table  # every K^b is void
-    below = _below_masks([g.exps for g in gens], gens[0].n)
-    for b in degrees:
-        tops = _tops(below, b)
+
+    def decide(c: tuple[int, ...], live: int, b=None) -> None:
+        # K^b at exponents c, b's capped by _at when b is given
+        tops = _tops(below, c, live)
         union = reduce(or_, tops, 0)
         if len(tops) == 1:
             dims = _full_simplex_homology(union)
@@ -154,6 +165,16 @@ def betti_via_koszul(
         else:
             dims = simplicial_homology(_union_of_simplices(tops), fld)
         if any(dims):  # beta_{i,b} = H_{i-1}, i = the position in dims
-            mb = Monomial(b)
+            mb = Monomial(c if b is None else b)
             table.update({(i, mb): h for i, h in enumerate(dims) if h})
+
+    if degrees is None:
+        below = _atoms(gens)[1]
+        _walk(below, decide)
+        # stable: the degrees in canonical order, as the lattice lists them
+        return dict(sorted(table.items(), key=lambda hit: _exps_key(hit[0][1].exps)))
+    if gens:  # else every K^b is void
+        below = _below_masks([g.exps for g in gens], gens[0].n)
+        for b in degrees:
+            decide(*_at(below, b), b)
     return table

@@ -1,15 +1,18 @@
 """The lcm lattice of a monomial ideal.
 
 Elements are the unit (bottom) together with the lcms of all nonempty sets
-of minimal generators, ordered by divisibility.  One rule, `_is_element`,
-decides membership: a tuple b is an element exactly when, for every v with
+of minimal generators, ordered by divisibility.  One rule decides
+membership: a tuple b is an element exactly when, for every v with
 b_v > 0, some generator dividing x^b has exponent b_v in v; then b is the
 lcm of the generators dividing it (the bottom passes vacuously).  So the
-lattice is enumerated, not closed under joins: candidates are built
-depth-first over the variables, each exponent one the generators have in
-that variable, carrying the bitmask of generators dividing the prefix
-(ANDs of the "exponent <= k" masks).  A branch is pruned when none of that
-mask has exponent exactly e in v; each leaf takes the membership rule.
+lattice is enumerated, not closed under joins: one walk, `_walk`, builds
+candidates depth-first over the variables, each exponent one the
+generators have in that variable, carrying live, the bitmask of generators
+dividing the prefix (ANDs of the "exponent <= k" masks).  A branch is
+pruned when none of live has exponent exactly e in v; each leaf takes the
+membership rule, and each element b goes with its live to a consumer:
+`build_lattice` sorts them, the Koszul oracle decides each on the spot.
+`in` then finds an element by bisection in the sorted exponent tuples.
 Both input kinds take this path: a BorelIdeal contributes its expanded
 generators, which go through the same checks and minimalization as a
 generator list.  The lattice is its canonically sorted exponent tuples
@@ -51,6 +54,7 @@ chains listed; past either, the CLI exits 2.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property, reduce
 from operator import and_, getitem, gt, le, lt
 
@@ -81,16 +85,6 @@ CHAIN_BUDGET = 100_000
 
 class ChainBudgetExceeded(ValueError):
     """Too much input for an enumeration budget; the CLI exits 2 on it."""
-
-
-def _is_element(below, b: tuple[int, ...]) -> bool:
-    """The membership rule of the module docstring; below[v][k] is the mask
-    of atoms with exponent at most k in v."""
-    try:
-        div = reduce(and_, map(getitem, below, b))
-    except IndexError:  # an exponent larger than every atom's
-        return False
-    return all(div & ~ms[e - 1] for ms, e in zip(below, b) if e)
 
 
 def _lower_covers(below, b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -127,7 +121,8 @@ class LcmLattice(_Value):
         return Monomial(self.exps[-1])
 
     def __contains__(self, m: Monomial) -> bool:
-        return m.n == self.n and _is_element(self.below, m.exps)
+        i = bisect_left(self.exps, _exps_key(m.exps), key=_exps_key)
+        return m.n == self.n and self.exps[i : i + 1] == (m.exps,)
 
     def __len__(self) -> int:
         return len(self.exps)
@@ -155,8 +150,9 @@ class LcmLattice(_Value):
         return {b: down[b] for b in sorted(down, key=_exps_key)}
 
 
-def build_lattice(gens) -> LcmLattice:
-    """Lattice of an ideal given by generators (a BorelIdeal is accepted)."""
+def _atoms(gens) -> tuple[tuple[Monomial, ...], tuple[tuple[int, ...], ...]]:
+    """The minimal generators of an ideal (a BorelIdeal is accepted) and
+    their "exponent <= k" masks below[v][k]."""
     gens = list(gens.expanded if isinstance(gens, BorelIdeal) else gens)
     if not gens:
         raise ValueError("need at least one generator")
@@ -166,26 +162,46 @@ def build_lattice(gens) -> LcmLattice:
     if any(g.is_unit for g in gens):
         raise ValueError("unit generator makes the whole ring")
     atoms = minimal_under_divisibility(gens)
-    rows = [a.exps for a in atoms]
-    below = tuple(map(tuple, _below_masks(rows, n)))
-    values = [sorted({e[v] for e in rows}) for v in range(n)]
-    elements = [(0,) * n]
+    return atoms, tuple(map(tuple, _below_masks([a.exps for a in atoms], n)))
 
-    def extend(prefix: tuple[int, ...], live: int) -> None:
-        # live: the atoms dividing the prefix, some of them reaching each
-        # exponent (at e = 0, every atom below it does)
-        v = len(prefix)
-        if v == n:
-            if _is_element(below, prefix):
-                elements.append(prefix)
+
+def _walk(below, visit) -> None:
+    """Call visit(b, live) on every element b above the bottom, in
+    lexicographic order, with live the mask of the atoms dividing x^b."""
+    # per variable v, (e, the atoms with exponent <= e in v, those with >= e)
+    # for each exponent e some atom has in v; last is the last variable's
+    *inner, last = [
+        [(e, m, ~low) for e, (m, low) in enumerate(zip(ms, (0, *ms))) if m != low]
+        for ms in below
+    ]
+
+    def extend(prefix: tuple[int, ...], live: int, exact: tuple[int, ...]) -> None:
+        # exact: the atoms reaching each exponent of the prefix, as some of
+        # live must; sub grows with e, so once it does it keeps doing so
+        if len(prefix) == len(inner):
+            reach = False
+            for e, le_e, ge_e in last:
+                sub = live & le_e
+                reach = reach or all(sub & x for x in exact)
+                if reach and sub & ge_e:
+                    visit(prefix + (e,), sub)
             return
-        for e in values[v]:
-            sub = live & below[v][e]
-            if sub & ~(below[v][e - 1] if e else 0):
-                extend(prefix + (e,), sub)
+        for e, le_e, ge_e in inner[len(prefix)]:
+            sub = live & le_e
+            if sub & ge_e:
+                extend(prefix + (e,), sub, exact + (ge_e,))
 
-    extend((), (1 << len(atoms)) - 1)
-    return LcmLattice(n, atoms, tuple(sorted(elements, key=_exps_key)), below)
+    extend((), -1, ())
+
+
+def build_lattice(gens) -> LcmLattice:
+    """Lattice of an ideal given by generators (a BorelIdeal is accepted)."""
+    atoms, below = _atoms(gens)
+    found: dict[tuple[int, ...], int] = {}
+    _walk(below, found.__setitem__)
+    # the bottom is the only degree-0 element, so it sorts first
+    exps = sorted([(0,) * len(below), *found], key=_exps_key)
+    return LcmLattice(atoms[0].n, atoms, tuple(exps), below)
 
 
 class RankedReport(_Value):

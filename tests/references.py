@@ -1,13 +1,15 @@
 """Helpers the package does not ship, kept here for the tests that use
-them: a seeded random Borel ideal, a label scaling of a complex, the
-scan-and-BFS `finalize_reference` that `LabeledComplex._finalize` replaced,
-and a recorder of the writes to files opened for writing."""
+them: a seeded random Borel ideal, the closure under exchange moves and
+every Borel ideal generated in one degree built from it, a label scaling of
+a complex, the scan-and-BFS `finalize_reference` that
+`LabeledComplex._finalize` replaced, and a recorder of the writes to files
+opened for writing."""
 import builtins
 import random
 
 from borelcell.borel import BorelIdeal
 from borelcell.complexes import Cell, LabeledComplex
-from borelcell.monomials import Monomial, monomials_of_degree
+from borelcell.monomials import Monomial, canonical_key, monomials_of_degree
 
 
 def random_borel_minimal(n, d, s, seed):
@@ -18,6 +20,36 @@ def random_borel_minimal(n, d, s, seed):
     pool = list(monomials_of_degree(n, d))
     picks = [pool[rng.randrange(len(pool))] for _ in range(s)]
     return BorelIdeal.from_borel_gens(n, picks)
+
+
+def move_closure(mono):
+    """Independent oracle: transitive closure under exchange moves."""
+    seen = {mono}
+    frontier = [mono]
+    while frontier:
+        cur = frontier.pop()
+        for t in range(2, cur.n + 1):
+            if cur.exps[t - 1] == 0:
+                continue
+            for s in range(1, t):
+                nxt = cur.borel_move(t, s)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return frozenset(seen)
+
+
+def all_borel_ideals(n, d):
+    """Every Borel fixed set of degree-d monomials, as unions of principal pieces."""
+    pieces = {move_closure(g) for g in monomials_of_degree(n, d)}
+    found, frontier = set(pieces), list(pieces)
+    while frontier:
+        cur = frontier.pop()
+        for piece in pieces:
+            if not piece <= cur and cur | piece not in found:
+                found.add(cur | piece)
+                frontier.append(cur | piece)
+    return sorted(found, key=lambda S: sorted(canonical_key(g) for g in S))
 
 
 def scale_labels(X, mu):

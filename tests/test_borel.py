@@ -25,28 +25,11 @@ from borelcell.monomials import (
     parse_monomial,
     unit,
 )
-from references import random_borel_minimal
+from references import all_borel_ideals, move_closure, random_borel_minimal
 
 
 def m(text, n=3):
     return parse_monomial(text, n)
-
-
-def move_closure(mono):
-    """Independent oracle: transitive closure under exchange moves."""
-    seen = {mono}
-    frontier = [mono]
-    while frontier:
-        cur = frontier.pop()
-        for t in range(2, cur.n + 1):
-            if cur.exps[t - 1] == 0:
-                continue
-            for s in range(1, t):
-                nxt = cur.borel_move(t, s)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return frozenset(seen)
 
 
 def random_monomial(rng, n, d):
@@ -118,19 +101,6 @@ def closed_under_every_move(pool):
         if g.exps[t - 1]
         for s in range(1, t)
     )
-
-
-def all_borel_ideals(n, d):
-    """Every Borel fixed set of degree-d monomials, as unions of principal pieces."""
-    pieces = {move_closure(g) for g in monomials_of_degree(n, d)}
-    found, frontier = set(pieces), list(pieces)
-    while frontier:
-        cur = frontier.pop()
-        for piece in pieces:
-            if not piece <= cur and cur | piece not in found:
-                found.add(cur | piece)
-                frontier.append(cur | piece)
-    return sorted(found, key=lambda S: sorted(canonical_key(g) for g in S))
 
 
 class TestExponentTuplePaths:

@@ -1,22 +1,27 @@
 import pytest
 
 from borelcell import builders
-from borelcell.borel import BorelIdeal, expand_principal
+from borelcell.borel import BorelIdeal, expand_principal, principal_decomposition
 from borelcell.builders import (
     borel_complex,
     induced_complex,
     power_complex,
     principal_complex,
 )
-from borelcell.complexes import product, simplex, union
+from borelcell.complexes import _glue, product, simplex, union
 from borelcell.monomials import (
+    Monomial,
     VarRange,
     monomials_of_degree,
     parse_monomial,
     unit,
     variable,
 )
+from borelcell.serialize import dumps
 from references import random_borel_minimal, scale_labels
+
+# test_matches_extraction_exhaustive's monomials: (n, top degree)
+EXHAUSTIVE = [(2, 4), (3, 4), (4, 4), (5, 3)]
 
 
 def m(text, n=3):
@@ -132,7 +137,7 @@ class TestPrincipalComplex:
         assert X == Y
         assert X.cells == Y.cells
 
-    @pytest.mark.parametrize("n, top", [(2, 4), (3, 4), (4, 4), (5, 3)])
+    @pytest.mark.parametrize("n, top", EXHAUSTIVE)
     def test_matches_extraction_exhaustive(self, n, top):
         # every monomial up to degree top, x1^a * x_j^b (one summand) included
         for d in range(1, top + 1):
@@ -199,3 +204,68 @@ class TestInducedComplex:
         P = power_complex(3, VarRange(1, 3), 2)
         for f, d in X.faces.items():
             assert P.faces[f] == d
+
+
+def power_pairs(n, lo, hi, d):
+    """The (simplex, power complex) pairs that _power(n, lo, hi, d) glues."""
+    return [
+        (
+            simplex([variable(n, i) for i in range(lo, k + 1)]),
+            builders._power(n, k, hi, d - 1),
+        )
+        for k in range(lo, hi + 1)
+    ]
+
+
+def principal_pairs(n, exps):
+    """The (principal, power complex) pairs that _principal(n, exps) glues."""
+    return [
+        (
+            builders._principal(n, nk.exps),
+            power_complex(n, rng, exps[rng.hi - 1]),
+        )
+        for nk, rng in principal_decomposition(Monomial(exps))
+    ]
+
+
+class TestGlue:
+    """_glue builds the products straight over the union's vertices; union
+    of the separately built products is the reference."""
+
+    @staticmethod
+    def assert_glues_as_the_union(pairs, built):
+        glued = _glue(pairs)
+        reference = union(*(product(X, Y) for X, Y in pairs))
+        assert glued == reference == built
+        assert dumps(glued) == dumps(reference)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_power_complex(self, n):
+        for d in range(2, 5):
+            for lo in range(1, n + 1):
+                for hi in range(lo + 1, n + 1):
+                    pairs = power_pairs(n, lo, hi, d)
+                    built = builders._power(n, lo, hi, d)
+                    self.assert_glues_as_the_union(pairs, built)
+
+    @pytest.mark.parametrize("n, top", EXHAUSTIVE)
+    def test_every_principal_complex(self, n, top):
+        for d in range(1, top + 1):
+            for mono in monomials_of_degree(n, d):
+                if sum(map(bool, mono.exps)) > 1:  # not a pure power
+                    pairs = principal_pairs(n, mono.exps)
+                    built = builders._principal(n, mono.exps)
+                    self.assert_glues_as_the_union(pairs, built)
+
+    def test_a_colliding_pair_is_rejected(self):
+        X = simplex([m("a"), m("b")])
+        with pytest.raises(ValueError, match="collide"):
+            _glue([(simplex([m("c")]), simplex([m("a")])), (X, X)])
+
+    def test_a_dimension_conflict_is_rejected(self):
+        # the square {ac, ad, bc, bd} of one pair is a tetrahedron in the other
+        a_b = simplex([m("a", 4), m("b", 4)])
+        c_d = simplex([m("c", 4), m("d", 4)])
+        tet = simplex([m(t, 4) for t in ["ac", "ad", "bc", "bd"]])
+        with pytest.raises(ValueError, match="different dimensions"):
+            _glue([(a_b, c_d), (tet, simplex([unit(4)]))])

@@ -661,6 +661,24 @@ class TestGoldenArtifacts:
         assert rc == 0
         assert report.read_bytes() == (DATA / "verify_P33.json").read_bytes()
 
+    def test_verify_report_loads_no_openssl(self, tmp_path):
+        # a fresh process: the config hash comes from the builtin sha256
+        src, report = tmp_path / "p33.json", tmp_path / "verify_P33.json"
+        code = (
+            "import sys\n"
+            "from borelcell.cli import main\n"
+            f"main(['complex', 'P', '--vars', '3', '--degree', '3', '--out', {str(src)!r}])\n"
+            f"rc = main(['verify', '--in', {str(src)!r}, '--report', {str(report)!r}])\n"
+            "print(rc, sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert done.stdout.endswith("\n0 []\n")
+        assert report.read_bytes() == (DATA / "verify_P33.json").read_bytes()
+
 
 class TestReportEncoding:
     """--report and --out bytes are json.dumps(indent=2, sort_keys=True)
@@ -914,7 +932,8 @@ class TestParserReuse:
 
 class TestOneLatticePerCommand:
     def test_betti_all_builds_the_lattice_once(self, capsys, monkeypatch):
-        # the Koszul oracle reads the degrees the cellular check decided
+        # the cellular check builds the lattice; the Koszul oracle decides
+        # its degrees on a walk of its own, with no LcmLattice
         calls = []
         real = lattice.build_lattice
 

@@ -27,7 +27,7 @@ from borelcell.monomials import (
     parse_monomial,
     unit,
 )
-from references import random_borel_minimal
+from references import all_borel_ideals, random_borel_minimal
 
 
 def m(text, n=3):
@@ -216,23 +216,6 @@ class TestIsRanked:
         monkeypatch.setattr(lattice, "CHAIN_TABLE_BUDGET", 2)
         with pytest.raises(ChainBudgetExceeded):
             is_ranked(mixed_lattice())
-
-
-def all_borel_ideals(n, d):
-    """The expanded generator sets of every Borel ideal generated in degree
-    d, found as unions of principal Borel ideals."""
-    principal = [
-        frozenset(expand_principal(u).expanded) for u in monomials_of_degree(n, d)
-    ]
-    found, todo = set(), [frozenset()]
-    while todo:
-        F = todo.pop()
-        for P in principal:
-            G = F | P
-            if G not in found:
-                found.add(G)
-                todo.append(G)
-    return found
 
 
 def all_pairs_is_ranked(L):
