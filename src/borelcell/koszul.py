@@ -18,9 +18,10 @@ gives the distinct S_g, one per part (at most 2^|U| parts).  If every
 U - {v} is one, K^b is the boundary of the simplex on U, with H_{|U|-2} = k
 alone.  Neither needs a face set or a rank.  The rest enumerate the submasks
 of their S_g and go through the resolution checks' exact kernel, on
-independently built matrices.  With no degrees given, each lcm-lattice
-element is decided as lattice.py's walk reaches it, from the live the walk
-carried; given degrees AND their own.
+independently built matrices.  betti_via_koszul decides each lcm-lattice
+element as lattice.py's walk reaches it, from the live the walk carried;
+the walk's other consumers are build_lattice and the resolution checks.
+upper_koszul, the one-degree form, ANDs its own live.
 """
 from __future__ import annotations
 
@@ -141,22 +142,16 @@ def upper_koszul(gens, b: Monomial) -> SimplicialComplex:
     return _union_of_simplices(_tops(below, *_at(below, b.exps)))
 
 
-def betti_via_koszul(
-    gens, degrees=None, fld: Field = Field()
-) -> dict[tuple[int, Monomial], int]:
+def betti_via_koszul(gens, fld: Field = Field()) -> dict[tuple[int, Monomial], int]:
     """Graded Betti numbers from upper Koszul homology.
 
-    With no degrees, every lcm-lattice element above the bottom (together
-    they carry all of the support) is decided as the lattice walk reaches
-    it.  Given degrees are exponent tuples, in any order, each decided on
-    its own; any superset of the lattice gives the same nonzero table.
+    Every lcm-lattice element above the bottom (together they carry all of
+    the support) is decided as the lattice walk reaches it.
     """
-    gens = list(gens)
     table: dict[tuple[int, Monomial], int] = {}
 
-    def decide(c: tuple[int, ...], live: int, b=None) -> None:
-        # K^b at exponents c, b's capped by _at when b is given
-        tops = _tops(below, c, live)
+    def decide(b: tuple[int, ...], live: int) -> None:
+        tops = _tops(below, b, live)
         union = reduce(or_, tops, 0)
         if len(tops) == 1:
             dims = _full_simplex_homology(union)
@@ -165,16 +160,10 @@ def betti_via_koszul(
         else:
             dims = simplicial_homology(_union_of_simplices(tops), fld)
         if any(dims):  # beta_{i,b} = H_{i-1}, i = the position in dims
-            mb = Monomial(c if b is None else b)
+            mb = Monomial(b)
             table.update({(i, mb): h for i, h in enumerate(dims) if h})
 
-    if degrees is None:
-        below = _atoms(gens)[1]
-        _walk(below, decide)
-        # stable: the degrees in canonical order, as the lattice lists them
-        return dict(sorted(table.items(), key=lambda hit: _exps_key(hit[0][1].exps)))
-    if gens:  # else every K^b is void
-        below = _below_masks([g.exps for g in gens], gens[0].n)
-        for b in degrees:
-            decide(*_at(below, b), b)
-    return table
+    below = _atoms(list(gens))[1]
+    _walk(below, decide)
+    # stable: the degrees in canonical order, as the lattice lists them
+    return dict(sorted(table.items(), key=lambda hit: _exps_key(hit[0][1].exps)))

@@ -10,14 +10,16 @@ candidates depth-first over the variables, each exponent one the
 generators have in that variable, carrying live, the bitmask of generators
 dividing the prefix (ANDs of the "exponent <= k" masks).  A branch is
 pruned when none of live has exponent exactly e in v; each leaf takes the
-membership rule, and each element b goes with its live to a consumer:
-`build_lattice` sorts them, the Koszul oracle decides each on the spot.
-`in` then finds an element by bisection in the sorted exponent tuples.
-Both input kinds take this path: a BorelIdeal contributes its expanded
-generators, which go through the same checks and minimalization as a
-generator list.  The lattice is its canonically sorted exponent tuples
-plus those masks, computed once; Monomials appear only in what the API
-returns.
+membership rule, and each element b goes with its live to a consumer.
+There are three: `build_lattice` sorts them, the Koszul oracle decides
+each on the spot, and the resolution checks walk the masks of a complex's
+cell labels instead, lcms of its vertex labels, which give the same
+elements, each with the cells whose label divides it.  `in` then finds an
+element by bisection in the sorted exponent tuples.  Both input kinds
+take this path: a BorelIdeal contributes its expanded generators, which
+go through the same checks and minimalization as a generator list.  The
+lattice is its canonically sorted exponent tuples plus those masks,
+computed once; Monomials appear only in what the API returns.
 
 Covers come from the same masks, with no joins.  For b above the bottom and
 each v with b_v > 0, let live_v be the atoms dividing x^(b - e_v) and c_v
@@ -167,7 +169,8 @@ def _atoms(gens) -> tuple[tuple[Monomial, ...], tuple[tuple[int, ...], ...]]:
 
 def _walk(below, visit) -> None:
     """Call visit(b, live) on every element b above the bottom, in
-    lexicographic order, with live the mask of the atoms dividing x^b."""
+    lexicographic order, with live the mask of the rows of below (atoms, or
+    cells) dividing x^b."""
     # per variable v, (e, the atoms with exponent <= e in v, those with >= e)
     # for each exponent e some atom has in v; last is the last variable's
     *inner, last = [

@@ -19,16 +19,18 @@ the same C to the acyclicity kernel, which cuts its selections from C's
 labels and its rank matrices from C's columns.
 
 verify_resolution decides every degree with one kernel over the cells of
-the already oriented complex.  Degrees run in canonical order, so every
-degree below b in the lattice is decided before b.  Each degree is
-selected, then either passed by the nerve step or decided by lower,
-collapse and rank:
+the already oriented complex.  lattice._walk over C's own label masks hands
+over each degree b with live = X_{<=b}, the cells whose label divides b;
+as a cell label is the lcm of its vertex labels, it visits exactly their
+lcm lattice.  X_{<=b} is closed under faces, so its cells keep the parent's
+verified signs and nothing is re-oriented.  Lexicographic order extends
+divisibility, so every degree below b is decided before b: all that the
+nerve guard and the lower rule ask of the order.  Verdicts and witnesses
+are homology, whatever the order; the checks are sorted once into
+canonical order, a degree at a time (one keyed sort of all peaks higher).
+Each degree is passed by the nerve step or decided by lower, collapse and
+rank:
 
-select     AND one "exponent <= b_v" bitmask per variable v over cell ids.
-           The result is the subcomplex of cells whose label divides b; it
-           is closed under faces (a face's label divides its cell's), so
-           every selected cell keeps its facets, ridges and the parent's
-           verified signs, and nothing needs re-orienting.
 nerve      for each v with b_v > 0, ANDing X_{<=b} with the
            "exponent <= b_v - 1" mask gives X_{<=b-e_v}.  The 0-cells come
            first, one per generator, so on them X_{<=b} is the generators
@@ -86,7 +88,7 @@ from operator import and_
 from .borel import BorelIdeal
 from .complexes import ChainComplex, LabeledComplex
 from .exact import Field
-from .lattice import build_lattice
+from .lattice import _walk
 from .monomials import Monomial, _below_masks, _bits, _exps_text, _set, _Value
 
 __all__ = [
@@ -171,12 +173,12 @@ class ResolutionReport(_Value):
         _set(self, "degrees", degrees)
 
 
-def _acyclicity_checks(
-    C: ChainComplex, n: int, fld: Field, degrees
-) -> list[CheckResult]:
-    """One check per degree of the finished complex C in n variables:
-    select, then pass by the nerve, or collapse relative to a lower
-    selection that did not fail and rank what is left (module docstring)."""
+def _acyclicity_checks(C: ChainComplex, n: int, fld: Field) -> list[CheckResult]:
+    """One check per degree of the finished complex C in n variables, in
+    canonical order: the walk over C's label masks hands each degree over
+    with its selection, which passes by the nerve, or collapses relative to
+    a lower selection that did not fail and ranks what is left (module
+    docstring)."""
     facets = [[fid for fid, _ in col] for col in C.columns]
     comask = [0] * len(facets)
     for i, fids in enumerate(facets):
@@ -189,22 +191,18 @@ def _acyclicity_checks(
     vertices = (1 << points) - 1
     # labels of positive-dimensional cells; a vertex labeled b leaves U empty
     labels = set(C.labels[points:])
-    everything = (1 << len(facets)) - 1
     failed: set[int] = set()  # the selections that failed
     checks = []
-    for b in degrees:
-        live = everything
-        for masks, e in zip(below, b):
-            if e < len(masks) - 1:
-                live &= masks[e]
+
+    def decide(b: tuple[int, ...], live: int) -> None:
         lowers = [live & masks[e - 1] for masks, e in zip(below, b) if e]
         if not failed and b not in labels:
             # the nerve: K^b is the full simplex on a nonempty U
             strict = [s & vertices for s in lowers if s & vertices]
             if strict and reduce(and_, strict, live & vertices):
                 checks.append(CheckResult("acyclic", "pass", b))
-                continue
-        # X_{<=a} for a lower cover a of b, decided earlier in degree order
+                return
+        # X_{<=a} for a lower cover a of b, walked before b
         lower = max(lowers, default=0)
         base = 0 if lower in failed else lower
         left = _collapse(live, base, comask, facets)
@@ -220,14 +218,16 @@ def _acyclicity_checks(
                 "reduced_homology": list(dims),
                 "first_nonzero": next(i - 1 for i, h in enumerate(dims) if h != 0),
             }
-        checks.append(
-            CheckResult(
-                name="acyclic",
-                status="pass" if ok else "fail",
-                exps=b,
-                witness=witness,
-            )
-        )
+        checks.append(CheckResult("acyclic", "pass" if ok else "fail", b, witness))
+
+    _walk(below, decide)
+    # canonical order: by degree, then by reversed exponents
+    buckets: dict[int, list[CheckResult]] = {}
+    for c in checks:
+        buckets.setdefault(sum(c.exps), []).append(c)
+    checks = []
+    for d in sorted(buckets):
+        checks += sorted(buckets.pop(d), key=lambda c: c.exps[::-1])
     return checks
 
 
@@ -307,10 +307,9 @@ def verify_resolution(
             status="pass" if check_boundary_squared_zero(C) else "fail",
         )
     ]
-    # the unit is the only degree-0 element, so it sorts first
-    degrees = build_lattice(I).exps[1:]
-    checks += _acyclicity_checks(C, I.n, fld, degrees)
+    checks += _acyclicity_checks(C, I.n, fld)
     ok = all(c.status == "pass" for c in checks)
+    degrees = tuple(c.exps for c in checks[1:])
     return ResolutionReport(
         ok=ok, field=str(fld), checks=tuple(checks), subject=X, degrees=degrees
     )

@@ -2,8 +2,9 @@
 them: a seeded random Borel ideal, the closure under exchange moves and
 every Borel ideal generated in one degree built from it, a label scaling of
 a complex, the scan-and-BFS `finalize_reference` that
-`LabeledComplex._finalize` replaced, and a recorder of the writes to files
-opened for writing."""
+`LabeledComplex._finalize` replaced, the per-degree cell selection
+`and_select` that the acyclicity kernel's lattice walk replaced, and a
+recorder of the writes to files opened for writing."""
 import builtins
 import random
 
@@ -156,6 +157,18 @@ def finalize_reference(X):
              tuple((t, sign[i][t]) for t in facets[i]))
         for i, f in enumerate(keys)
     )
+
+
+def and_select(below, b):
+    """The cells whose label divides x^b, selected as the acyclicity kernel
+    did before its lattice walk carried the selection: the AND of the
+    "exponent <= b_v" masks below[v][b_v], skipping every v where b_v
+    reaches the largest exponent, whose mask holds every cell."""
+    live = below[0][-1]
+    for masks, e in zip(below, b):
+        if e < len(masks) - 1:
+            live &= masks[e]
+    return live
 
 
 def record_writes(monkeypatch):

@@ -661,6 +661,15 @@ class TestGoldenArtifacts:
         assert rc == 0
         assert report.read_bytes() == (DATA / "verify_P33.json").read_bytes()
 
+    def test_verify_report_of_a_non_power_complex(self, capsys, tmp_path):
+        # 238 degrees of a two-generator Borel ideal, listed in canonical
+        # order though the kernel's walk reaches them lexicographically
+        report = tmp_path / "verify_Q5_two_gens.json"
+        src = DATA / "complex_Q5_two_gens.json"
+        rc, _, _ = run(capsys, "verify", "--in", str(src), "--report", str(report))
+        assert rc == 0
+        assert report.read_bytes() == (DATA / "verify_Q5_two_gens.json").read_bytes()
+
     def test_verify_report_loads_no_openssl(self, tmp_path):
         # a fresh process: the config hash comes from the builtin sha256
         src, report = tmp_path / "p33.json", tmp_path / "verify_P33.json"
@@ -931,24 +940,29 @@ class TestParserReuse:
 
 
 class TestOneLatticePerCommand:
-    def test_betti_all_builds_the_lattice_once(self, capsys, monkeypatch):
-        # the cellular check builds the lattice; the Koszul oracle decides
-        # its degrees on a walk of its own, with no LcmLattice
-        calls = []
-        real = lattice.build_lattice
-
-        def counting(gens):
-            calls.append(gens)
-            return real(gens)
-
-        # patch the name in every module that imported it
-        for name, mod in list(sys.modules.items()):
-            if name.partition(".")[0] == "borelcell":
-                if getattr(mod, "build_lattice", None) is real:
-                    monkeypatch.setattr(mod, "build_lattice", counting)
-        rc, out, _ = run(capsys, "betti", "--vars", "4", "--borel", "b*d^2")
+    def test_betti_all_and_verify_build_no_lattice(self, capsys, tmp_path, monkeypatch):
+        # the cellular check and the Koszul oracle each decide their degrees
+        # as a lattice walk of their own reaches them; only the lattice
+        # command builds an LcmLattice
+        built = []
+        init = lattice.LcmLattice.__init__
+        monkeypatch.setattr(
+            lattice.LcmLattice,
+            "__init__",
+            lambda L, *args: built.append(args) or init(L, *args),
+        )
+        rc, out, _ = run(
+            capsys, "betti", "--vars", "4", "--borel", "b*d^2", "--method", "all"
+        )
         assert rc == 0 and out.endswith("agree: yes\n")
-        assert len(calls) == 1
+        path = TestVerify().write_q(tmp_path)
+        assert run(capsys, "verify", "--in", str(path))[0] == 0
+        assert not built
+        rc, _, _ = run(
+            capsys, "lattice", "--vars", "3", "--borel", "bc", "--check", "ranked"
+        )
+        assert rc == 0
+        assert len(built) == 1
 
 
 class TestModuleEntryPoint:

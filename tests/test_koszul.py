@@ -122,14 +122,6 @@ class TestBettiViaKoszul:
         cellular = betti_from_cells(X, verify_resolution(X, I))
         assert betti_via_koszul(I.expanded) == cellular
 
-    def test_extra_degrees_change_nothing(self):
-        gens = list(expand_principal(m("bc")).expanded)
-        base = betti_via_koszul(gens)
-        padded = betti_via_koszul(
-            gens, degrees=[b.exps for (i, b) in base] + [(4, 4, 4), (1, 0, 0)]
-        )
-        assert padded == base
-
     def test_one_monomial_per_table_degree(self, monkeypatch):
         # P(5,4) has 3,069 lattice degrees and 496 in the table; the rest
         # are decided on exponent tuples and build nothing
@@ -300,16 +292,21 @@ class TestAgainstReferences:
     @settings(max_examples=25, deadline=None)
     def test_every_lattice_degree(self, I):
         gens = list(I.expanded)
-        for b in map(Monomial, build_lattice(gens).exps):
+        lattice = list(map(Monomial, build_lattice(gens).exps))
+        walked = [betti_via_koszul(gens, fld) for fld in FIELDS]
+        for table in walked:
+            assert {b for _, b in table} <= set(lattice)
+        for b in lattice:
             faces = subset_upper_koszul(gens, b)
             X = upper_koszul(gens, b)
             assert faces_of(X) == faces, b
-            for fld in FIELDS:
+            for fld, table in zip(FIELDS, walked):
                 dims = simplicial_homology(X, fld)
                 assert dims == dense_homology(faces, fld), b
-                # the Betti route's cuts against the ranked homology
-                table = {(i, b): h for i, h in enumerate(dims) if h}
-                assert betti_via_koszul(gens, [b.exps], fld) == table, b
+                # the Betti route's cuts, at b of the walk, against the
+                # ranked homology
+                at_b = {key: h for key, h in table.items() if key[1] == b}
+                assert at_b == {(i, b): h for i, h in enumerate(dims) if h}, b
 
     @given(st.one_of(gens_and_degrees, borel_and_padding))
     @example(([], [m("a")]))
@@ -317,11 +314,17 @@ class TestAgainstReferences:
     @settings(max_examples=80, deadline=None)
     def test_betti_matches_the_per_degree_references(self, case):
         gens, degrees = case
+        if not gens or any(g.is_unit for g in gens):
+            # no lcm lattice to walk: no generator, or the whole ring
+            with pytest.raises(ValueError, match="generator"):
+                betti_via_koszul(gens)
+            return
+        # the walk against the references on every lattice degree; the
+        # drawn degrees, in or out of the lattice, add nothing
+        lattice = list(map(Monomial, build_lattice(gens).exps))
         for fld in FIELDS:
-            # the oracle takes its degrees as exponent tuples
-            exps = [b.exps for b in degrees]
-            assert betti_via_koszul(gens, exps, fld) == reference_betti(
-                gens, degrees, fld
+            assert betti_via_koszul(gens, fld) == reference_betti(
+                gens, lattice + degrees, fld
             )
 
     def test_only_a_full_simplex_skips_the_ranks(self, monkeypatch):
@@ -344,19 +347,25 @@ class TestAgainstReferences:
             lambda K, masks: built.append(masks) or check(K, masks),
         )
         calls.clear()
-        # K^a is {empty face}; K^{a^2 b} is the full simplex on {1, 2}, since
-        # S_a = {1, 2} holds S_b = {1}
-        gens = [m("a"), m("b")]
-        assert betti_via_koszul(gens, [(1, 0, 0), (2, 1, 0)]) == {(0, m("a")): 1}
+        # the walk of a and b: K^a and K^b are {empty face}; K^{ab} is two
+        # points, S_a = {2} and S_b = {1}: the boundary of the simplex on
+        # {1, 2}, a 0-sphere, needs no rank either
+        table = betti_via_koszul([m("a"), m("b")])
+        assert table == {(0, m("a")): 1, (0, m("b")): 1, (1, m("ab")): 1}
         assert not calls and not built
-        # K^{ab} is two points, S_a = {2} and S_b = {1}: the boundary of the
-        # simplex on {1, 2}, a 0-sphere, needs no rank either
-        assert betti_via_koszul(gens, [(1, 1, 0)]) == {(1, m("ab")): 1}
+        # the walk of a^2, ab, b^2: K^{a^2 b} and K^{a b^2} are 0-spheres,
+        # and K^{a^2 b^2} is the full simplex on {1, 2}, since
+        # S_{ab} = {1, 2} holds S_{a^2} = {2} and S_{b^2} = {1}
+        table = betti_via_koszul([m("a^2"), m("a*b"), m("b^2")])
+        assert m("a^2*b^2") not in {b for _, b in table}
+        assert betti_totals(table) == (3, 2)
         assert not calls and not built
         # K^{a^2 b^2 c^2} of these three is three points, S_g = {1}, {2},
-        # {3}: neither a full simplex nor a simplex boundary, so ranked
+        # {3}: neither a full simplex nor a simplex boundary, so ranked; it
+        # is the walk's one degree above the atoms
         gens = [m("a*b^2*c^2"), m("a^2*b*c^2"), m("a^2*b^2*c")]
-        assert betti_via_koszul(gens, [(2, 2, 2)]) == {(1, m("a^2*b^2*c^2")): 2}
+        table = betti_via_koszul(gens)
+        assert table == {**{(0, g): 1 for g in gens}, (1, m("a^2*b^2*c^2")): 2}
         assert calls and built
 
     def test_a_simplex_boundary_short_of_one_facet_is_ranked(self, monkeypatch):
@@ -365,14 +374,21 @@ class TestAgainstReferences:
         monkeypatch.setattr(
             Field, "rank", lambda self, rows: calls.append(rows) or rank(self, rows)
         )
-        # S_b = {1, 3} and S_c = {1, 2}: two facets of the simplex on
-        # {1, 2, 3}, not {2, 3}; a path, so acyclic
-        assert betti_via_koszul([m("b"), m("c")], [(1, 1, 1)]) == {}
+        # the walk of bc, ab, c^2 ranks one degree, a*b*c^2: S_{bc} = {1, 3}
+        # and S_{c^2} = {1, 2} (S_{ab} = {3} lies in the first) are two
+        # facets of the simplex on {1, 2, 3}, not {2, 3}; a path, so acyclic.
+        # K^{abc} and K^{b c^2} are 0-spheres.
+        table = betti_via_koszul([m("b*c"), m("a*b"), m("c^2")])
         assert calls
-        # with S_a = {2, 3} as well, K^{abc} is the hollow triangle
+        assert m("a*b*c^2") not in {b for _, b in table}
+        assert betti_totals(table) == (3, 2)
+        # with S_a = {2, 3} as well, K^{abc} of a, b, c is the hollow
+        # triangle, and every other degree of their walk a simplex boundary
+        # or {empty face}
         calls.clear()
-        gens = [m("a"), m("b"), m("c")]
-        assert betti_via_koszul(gens, [(1, 1, 1)]) == {(2, m("abc")): 1}
+        table = betti_via_koszul([m("a"), m("b"), m("c")])
+        assert table[(2, m("abc"))] == 1
+        assert betti_totals(table) == (3, 3, 1)
         assert not calls
 
     def test_face_masks_are_checked(self):
@@ -394,11 +410,12 @@ class TestEveryBorelIdeal:
             gens = sorted(expanded, key=canonical_key)
             degrees = build_lattice(gens).exps[1:]
             walked = betti_via_koszul(gens)
-            # the given-degrees path, in the same canonical order, and K^b
-            # built and ranked per degree, by the oracle's union of
-            # simplices and by subset enumeration
-            given = betti_via_koszul(gens, degrees)
-            assert list(walked.items()) == list(given.items())
+            # in canonical order, and against K^b built and ranked per
+            # degree, by the oracle's union of simplices and by subset
+            # enumeration
+            assert list(walked) == sorted(
+                walked, key=lambda key: (canonical_key(key[1]), key[0])
+            )
             assert walked == {
                 (i, b): h
                 for b in map(Monomial, degrees)

@@ -23,7 +23,9 @@ from borelcell.lattice import build_lattice
 from borelcell.monomials import (
     Monomial,
     VarRange,
+    _below_masks,
     _bits,
+    _exps_key,
     canonical_key,
     lcm_many,
     monomials_of_degree,
@@ -42,6 +44,7 @@ from borelcell.resolution import (
     verify_resolution,
 )
 from borelcell.serialize import dict_to_complex, dumps
+from references import all_borel_ideals, and_select
 
 Q = Field()
 DATA = Path(__file__).parent / "data"
@@ -663,8 +666,25 @@ class TestRelativeAgainstAbsoluteKernel:
             assert not report.ok, name
 
 
+def tracking_walk(seen):
+    """resolution._walk, also recording in seen, in walk order, the selection
+    it hands over with each degree."""
+    walk = resolution._walk
+
+    def tracked(below, visit):
+        def visit_tracked(b, live):
+            seen[b] = live
+            visit(b, live)
+
+        walk(below, visit_tracked)
+
+    return tracked
+
+
 def kernel_paths(X, I, fld=Q):
-    """verify's report, and how each lattice degree was decided, in order.
+    """verify's report, and how each lattice degree was decided, in the
+    report's (canonical) order; the degrees are tracked as the kernel's
+    lattice walk hands them over.
 
     "nerve": a degree labeling no cell whose upper Koszul complex is a full
     simplex, passed with no collapse.  "relative": X_{<=b} collapsed onto
@@ -674,32 +694,27 @@ def kernel_paths(X, I, fld=Q):
     had not passed, collapsed and ranked from the empty selection.  Every
     other degree collapses exactly once.
     """
-    current = []  # the degrees handed to the kernel so far
+    seen = {}  # the degrees the walk has handed over so far
     calls = []
-    collapse, checks = resolution._collapse, resolution._acyclicity_checks
+    collapse = resolution._collapse
 
     def spy(live, base, comask, facets):
         left = collapse(live, base, comask, facets)
-        calls.append((current[-1], live, base, left))
+        calls.append((next(reversed(seen)), live, base, left))
         return left
-
-    def tracked(C, n, fld, degrees):
-        def walk():
-            for b in degrees:
-                current.append(b)
-                yield b
-
-        return checks(C, n, fld, walk())
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(resolution, "_collapse", spy)
-        patch.setattr(resolution, "_acyclicity_checks", tracked)
+        patch.setattr(resolution, "_walk", tracking_walk(seen))
         report = verify_resolution(X, I, fld)
-    assert current == list(report.degrees)
+    # the walk runs in lexicographic order; the report lists it canonically
+    current = list(seen)
+    assert current == sorted(current)
+    assert sorted(current, key=_exps_key) == list(report.degrees)
     by_degree = {b: rest for b, *rest in calls}
     assert len(by_degree) == len(calls)
     paths = []
-    for b in current:
+    for b in report.degrees:
         if b not in by_degree:
             paths.append("nerve")
             continue
@@ -805,7 +820,79 @@ class TestKernelPaths:
         assert len(paths) == 3292
         assert paths.count("stuck") == 227
         # degrees labeling no cell, each before its mutant's first failure
-        assert paths.count("nerve") == 415
+        # in walk order
+        assert paths.count("nerve") == 609
+
+
+class TestVerifyWalk:
+    """The kernel walks the lcm lattice over its own cell masks: it decides
+    exactly the ideal's lattice degrees, each on the selection the
+    per-degree AND made, and reports them as the absolute kernel does, in
+    canonical order."""
+
+    @staticmethod
+    def assert_walk_matches(X, I):
+        lives = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(resolution, "_walk", tracking_walk(lives))
+            report = verify_resolution(X, I, Q)
+        degrees = build_lattice(I).exps[1:]
+        assert report.degrees == degrees
+        reference = absolute_acyclicity_checks(X, Q, [Monomial(b) for b in degrees])
+        assert list(report.checks[1:]) == reference
+        below = _below_masks(chain_complex(X).labels, X.n)
+        assert lives == {b: and_select(below, b) for b in degrees}
+        return report
+
+    @pytest.mark.parametrize(
+        "n, gens", [(3, "a*c,b"), (4, "a*b,a*c,a*d^2,b^2*c*d^2")]
+    )
+    def test_the_taylor_complex_of_a_mixed_ideal(self, n, gens):
+        # verify takes Borel ideals only; the full simplex on generators of
+        # several degrees resolves their ideal, and its walk must skip the
+        # tuples that are not lcms of the cells dividing them, such as a*b
+        # for a*c and b: both exponents are reached, by different cells
+        gens = [m(t, n) for t in gens.split(",")]
+        C = chain_complex(simplex(gens))
+        below = _below_masks(C.labels, n)
+        lives = {}
+        resolution._walk(below, lives.__setitem__)
+        # the lcms of all nonempty subsets, independently of the walk
+        degrees = sorted(
+            {
+                lcm_many(S).exps
+                for k in range(1, len(gens) + 1)
+                for S in itertools.combinations(gens, k)
+            },
+            key=_exps_key,
+        )
+        assert sorted(lives, key=_exps_key) == degrees
+        assert lives == {b: and_select(below, b) for b in degrees}
+        checks = resolution._acyclicity_checks(C, n, Q)
+        assert [c.exps for c in checks] == degrees
+        assert all(c.status == "pass" for c in checks)
+
+    @pytest.mark.parametrize(
+        "n, d, count", [(4, 3, 65), (3, 2, 7), (3, 3, 15), (3, 4, 31), (3, 5, 63)]
+    )
+    def test_every_borel_ideal(self, n, d, count):
+        ideals = all_borel_ideals(n, d)
+        assert len(ideals) == count
+        for expanded in ideals:
+            I = BorelIdeal.from_expanded(n, expanded)
+            assert self.assert_walk_matches(borel_complex(I), I).ok
+
+    @pytest.mark.parametrize(
+        "name", ["complex_P43.json", "complex_Q4_bd2.json", "complex_Q5_two_gens.json"]
+    )
+    def test_golden_complexes_and_their_drop_mutants(self, name):
+        X = dict_to_complex(json.loads((DATA / name).read_text()))
+        I = BorelIdeal.from_expanded(X.n, frozenset(X.vertex_labels))
+        assert self.assert_walk_matches(X, I).ok
+        facet_ids = {fid for c in X.cells for fid, _ in c.facets}
+        for pick in range(sum(c.id not in facet_ids for c in X.cells)):
+            report = self.assert_walk_matches(drop_maximal_cell(X, pick), I)
+            assert not report.ok, pick
 
 
 def drop_pairs():
