@@ -37,6 +37,7 @@ __all__ = [
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _FACTOR_RE = re.compile(r"(?:x([0-9]+)|([a-z]))(?:\^([0-9]+))?")
+_FACTORS = {False: [], True: []}  # _exps_text's, by letters, variable, exponent
 
 
 def _exps_key(e: tuple[int, ...]) -> tuple:
@@ -46,12 +47,16 @@ def _exps_key(e: tuple[int, ...]) -> tuple:
 
 def _exps_text(e: tuple[int, ...], letters: bool = False) -> str:
     """Text form of an exponent tuple: x1^2*x3, or a^2*c with letters."""
-    parts = []
-    for i, k in enumerate(e):
-        if k:
-            name = _LETTERS[i] if letters else f"x{i + 1}"
-            parts.append(name if k == 1 else f"{name}^{k}")
-    return "*".join(parts) or "1"
+    rows = _FACTORS[letters]
+    try:
+        return "*".join([rows[i][k] for i, k in enumerate(e) if k]) or "1"
+    except IndexError:  # a variable or an exponent met for the first time
+        rows += [[""] for _ in range(len(rows), len(e))]
+        for i, k in enumerate(e):
+            for j in range(len(rows[i]), k + 1):
+                name = _LETTERS[i] if letters else f"x{i + 1}"
+                rows[i].append(name if j == 1 else f"{name}^{j}")
+        return _exps_text(e, letters)
 
 
 def _bits(mask: int) -> list[int]:
@@ -82,13 +87,14 @@ _set = object.__setattr__  # for __init__: _Value.__setattr__ refuses
 
 
 class _Value:
-    """A frozen dataclass's methods, read off the fields named in `_fields`,
-    which a subclass's `__init__` sets once, by `_init` or `_set`."""
+    """A frozen dataclass's methods, read off the fields named in `_fields`;
+    a subclass's `__init__` sets its slots once, by `_init` or `_set`."""
 
     __slots__ = ()
 
     def _init(self, *values) -> None:
-        for name, value in zip(self._fields, values):
+        names = type(self).__dict__.get("__slots__", self._fields)
+        for name, value in zip(names, values):
             _set(self, name, value)
 
     def _key(self) -> tuple:

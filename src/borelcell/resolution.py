@@ -26,10 +26,10 @@ lcm lattice.  X_{<=b} is closed under faces, so its cells keep the parent's
 verified signs and nothing is re-oriented.  Lexicographic order extends
 divisibility, so every degree below b is decided before b: all that the
 nerve guard and the lower rule ask of the order.  Verdicts and witnesses
-are homology, whatever the order; the checks are sorted once into
-canonical order, a degree at a time (one keyed sort of all peaks higher).
-Each degree is passed by the nerve step or decided by lower, collapse and
-rank:
+are homology, whatever the order: the kernel returns the degrees, sorted
+once into canonical order a degree at a time (one keyed sort of all peaks
+higher), and a witness per failed degree.  Each degree is passed by the
+nerve step or decided by lower, collapse and rank:
 
 nerve      for each v with b_v > 0, ANDing X_{<=b} with the
            "exponent <= b_v - 1" mask gives X_{<=b-e_v}.  The 0-cells come
@@ -163,22 +163,32 @@ class CheckResult(_Value):
 
 
 class ResolutionReport(_Value):
-    # equality, hash and repr ignore the subject complex and its degrees
-    __slots__ = ("ok", "field", "checks", "subject", "degrees")
+    # equality, hash and repr ignore subject, degrees and failures; given
+    # failures, checks holds those before the degrees until its first read
+    __slots__ = ("ok", "field", "_checks", "subject", "degrees", "failures")
     _fields = ("ok", "field", "checks")
 
-    def __init__(self, ok, field: str, checks, subject=None, degrees=()) -> None:
-        self._init(ok, field, checks)
-        _set(self, "subject", subject)
-        _set(self, "degrees", degrees)
+    def __init__(self, ok, field, checks, subject=None, degrees=(), failures=None):
+        self._init(ok, field, checks, subject, degrees, failures)
+
+    @property
+    def checks(self) -> tuple:
+        checks, fails = self._checks, self.failures
+        if fails is not None and len(checks) <= len(self.degrees):
+            checks += tuple(
+                CheckResult("acyclic", "pass" if w is None else "fail", b, w)
+                for b, w in zip(self.degrees, map(fails.get, self.degrees))
+            )
+            _set(self, "_checks", checks)
+        return checks
 
 
-def _acyclicity_checks(C: ChainComplex, n: int, fld: Field) -> list[CheckResult]:
-    """One check per degree of the finished complex C in n variables, in
-    canonical order: the walk over C's label masks hands each degree over
-    with its selection, which passes by the nerve, or collapses relative to
-    a lower selection that did not fail and ranks what is left (module
-    docstring)."""
+def _acyclicity_checks(C: ChainComplex, n: int, fld: Field):
+    """The degrees of the finished complex C in n variables, in canonical
+    order, and the failed ones, {degree: witness}: the walk over C's label
+    masks hands each degree over with its selection, which passes by the
+    nerve, or collapses relative to a lower selection that did not fail and
+    ranks what is left (module docstring)."""
     facets = [[fid for fid, _ in col] for col in C.columns]
     comask = [0] * len(facets)
     for i, fids in enumerate(facets):
@@ -189,46 +199,39 @@ def _acyclicity_checks(C: ChainComplex, n: int, fld: Field) -> list[CheckResult]
 
     points = C.dims.count(0)  # the 0-cells come first
     vertices = (1 << points) - 1
+    vbelow = [[m & vertices for m in masks] for masks in below]  # nerve: 0-cells
     # labels of positive-dimensional cells; a vertex labeled b leaves U empty
     labels = set(C.labels[points:])
     failed: set[int] = set()  # the selections that failed
-    checks = []
+    failures: dict[tuple[int, ...], dict] = {}
+    buckets: list[list] = [[] for _ in range(sum(map(len, below)))]  # by degree
 
     def decide(b: tuple[int, ...], live: int) -> None:
-        lowers = [live & masks[e - 1] for masks, e in zip(below, b) if e]
+        buckets[sum(b)].append(b)
         if not failed and b not in labels:
             # the nerve: K^b is the full simplex on a nonempty U
-            strict = [s & vertices for s in lowers if s & vertices]
-            if strict and reduce(and_, strict, live & vertices):
-                checks.append(CheckResult("acyclic", "pass", b))
+            strict = [s for m, e in zip(vbelow, b) if e and (s := live & m[e - 1])]
+            if strict and reduce(and_, strict):
                 return
         # X_{<=a} for a lower cover a of b, walked before b
-        lower = max(lowers, default=0)
+        lower = max((live & m[e - 1] for m, e in zip(below, b) if e), default=0)
         base = 0 if lower in failed else lower
         left = _collapse(live, base, comask, facets)
         dims = ()  # nothing left: X_{<=b} collapses onto the acyclic base
         if left:
             top = C.dims[live.bit_length() - 1]
             dims = _residual_homology(C, _bits(left), top, fld, base)
-        ok = not any(dims)
-        witness = None
-        if not ok:
+        if any(dims):
             failed.add(live)
-            witness = {
+            failures[b] = {
                 "reduced_homology": list(dims),
                 "first_nonzero": next(i - 1 for i, h in enumerate(dims) if h != 0),
             }
-        checks.append(CheckResult("acyclic", "pass" if ok else "fail", b, witness))
 
     _walk(below, decide)
     # canonical order: by degree, then by reversed exponents
-    buckets: dict[int, list[CheckResult]] = {}
-    for c in checks:
-        buckets.setdefault(sum(c.exps), []).append(c)
-    checks = []
-    for d in sorted(buckets):
-        checks += sorted(buckets.pop(d), key=lambda c: c.exps[::-1])
-    return checks
+    degrees = (b for bs in buckets for b in sorted(bs, key=lambda e: e[::-1]))
+    return tuple(degrees), failures
 
 
 def _collapse(
@@ -301,18 +304,12 @@ def verify_resolution(
     # the 0-cells come first and carry the vertex labels
     if set(C.labels[: C.dims.count(0)]) != {g.exps for g in I.expanded}:
         raise ValueError("vertex labels differ from the minimal generators")
-    checks = [
-        CheckResult(
-            name="boundary_squared_zero",
-            status="pass" if check_boundary_squared_zero(C) else "fail",
-        )
-    ]
-    checks += _acyclicity_checks(C, I.n, fld)
-    ok = all(c.status == "pass" for c in checks)
-    degrees = tuple(c.exps for c in checks[1:])
-    return ResolutionReport(
-        ok=ok, field=str(fld), checks=tuple(checks), subject=X, degrees=degrees
+    bsq = CheckResult(
+        "boundary_squared_zero", "pass" if check_boundary_squared_zero(C) else "fail"
     )
+    degrees, failures = _acyclicity_checks(C, I.n, fld)
+    ok = bsq.status == "pass" and not failures
+    return ResolutionReport(ok, str(fld), (bsq,), X, degrees, failures)
 
 
 def check_minimal(X: LabeledComplex) -> bool:

@@ -3,8 +3,9 @@ them: a seeded random Borel ideal, the closure under exchange moves and
 every Borel ideal generated in one degree built from it, a label scaling of
 a complex, the scan-and-BFS `finalize_reference` that
 `LabeledComplex._finalize` replaced, the per-degree cell selection
-`and_select` that the acyclicity kernel's lattice walk replaced, and a
-recorder of the writes to files opened for writing."""
+`and_select` that the acyclicity kernel's lattice walk replaced, the
+factor-by-factor label text `exps_text_loop` that the table of factor texts
+replaced, and a recorder of the writes to files opened for writing."""
 import builtins
 import random
 
@@ -169,6 +170,17 @@ def and_select(below, b):
         if e < len(masks) - 1:
             live &= masks[e]
     return live
+
+
+def exps_text_loop(e, letters=False):
+    """Text form of an exponent tuple as `monomials._exps_text` wrote it
+    before it looked its factor texts up: each factor formatted anew."""
+    parts = []
+    for i, k in enumerate(e):
+        if k:
+            name = "abcdefghijklmnopqrstuvwxyz"[i] if letters else f"x{i + 1}"
+            parts.append(name if k == 1 else f"{name}^{k}")
+    return "*".join(parts) or "1"
 
 
 def record_writes(monkeypatch):

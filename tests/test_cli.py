@@ -10,17 +10,26 @@ from pathlib import Path
 
 import pytest
 
-from borelcell import cli, lattice
-from borelcell.builders import borel_complex, induced_complex, principal_complex
+from borelcell import __version__, cli, lattice
+from borelcell.borel import BorelIdeal
+from borelcell.builders import (
+    borel_complex,
+    induced_complex,
+    power_complex,
+    principal_complex,
+)
 from borelcell.cli import main
 from borelcell.complexes import LabeledComplex, simplex
-from borelcell.monomials import parse_monomial
-from borelcell.serialize import dict_to_complex, export_json
+from borelcell.exact import Field
+from borelcell.monomials import VarRange, canonical_key, parse_monomial
+from borelcell.resolution import check_minimal, verify_resolution
+from borelcell.serialize import dict_to_complex, export_json, import_json
 from references import record_writes
 
 BC5 = ["a^2", "a*b", "b^2", "a*c", "b*c"]
 MIXED = ["--vars", "4", "--borel", "ab,ac,a*d^2,b^2*c*d^2"]
 DATA = Path(__file__).parent / "data"
+GOLDEN_COMPLEXES = ["complex_P43.json", "complex_Q4_bd2.json", "complex_Q5_two_gens.json"]
 
 
 def drop_a_maximal_cell(X):
@@ -670,6 +679,44 @@ class TestGoldenArtifacts:
         assert rc == 0
         assert report.read_bytes() == (DATA / "verify_Q5_two_gens.json").read_bytes()
 
+    def test_verify_report_of_a_failing_complex(self, capsys, tmp_path):
+        # complex_P43.json without its last maximal cell in file order: 27
+        # degrees fail, listed in canonical order though the kernel's walk
+        # reaches them lexicographically
+        doc = json.loads((DATA / "complex_P43.json").read_text())
+        facet_ids = {fid for rec in doc["cells"] for fid, _ in rec["facets"]}
+        last = max(i for i, r in enumerate(doc["cells"]) if r["id"] not in facet_ids)
+        del doc["cells"][last]
+        src = DATA / "complex_P43_drop.json"
+        assert json.loads(src.read_text()) == doc
+        report = tmp_path / "verify_P43_drop.json"
+        rc, out, err = run(capsys, "verify", "--in", str(src), "--report", str(report))
+        assert (rc, err) == (1, "")
+        golden = (DATA / "verify_P43_drop.json").read_bytes()
+        assert report.read_bytes() == golden
+        checks = json.loads(golden)["checks"]
+        # the witness as printed: a dict, homology first
+        keys = ("reduced_homology", "first_nonzero")
+        failing = [
+            (c["degree"], {k: c["witness"][k] for k in keys})
+            for c in checks
+            if c["status"] == "fail"
+        ]
+        assert out.splitlines() == [
+            "field: q",
+            "boundary_squared_zero: pass",
+            "acyclic degrees: 214/241 pass",
+            *(f"  fail at {b}: {w}" for b, w in failing),
+            "minimal: pass",
+            "ok: no",
+        ]
+        assert out.splitlines()[3] == (
+            "  fail at x1*x2*x3*x4^3: "
+            "{'reduced_homology': [0, 0, 0, 1], 'first_nonzero': 2}"
+        )
+        degrees = [parse_monomial(c["degree"], 4) for c in checks[1:-1]]
+        assert degrees == sorted(degrees, key=canonical_key)
+
     def test_verify_report_loads_no_openssl(self, tmp_path):
         # a fresh process: the config hash comes from the builtin sha256
         src, report = tmp_path / "p33.json", tmp_path / "verify_P33.json"
@@ -784,6 +831,69 @@ class TestReportEncoding:
         longest = max(len(d) + 4 * d.count("\n") for d in dumped) + 64
         assert len(text) > 2 * longest
         assert max(map(len, writes)) <= longest
+
+
+def verify_inputs(tmp_path):
+    """Complex files for verify: the three golden complexes, each of them
+    without one of its maximal cells (every choice), P(4,4) and P(5,3)."""
+    paths = []
+    for name in GOLDEN_COMPLEXES:
+        doc = json.loads((DATA / name).read_text())
+        paths.append(DATA / name)
+        cells = doc["cells"]
+        facet_ids = {fid for rec in cells for fid, _ in rec["facets"]}
+        for i, rec in enumerate(cells):
+            if rec["id"] not in facet_ids:
+                path = tmp_path / f"{name[:-5]}_drop{i}.json"
+                path.write_text(json.dumps({**doc, "cells": cells[:i] + cells[i + 1:]}))
+                paths.append(path)
+    for n, d in [(4, 4), (5, 3)]:
+        paths.append(tmp_path / f"P{n}{d}.json")
+        export_json(power_complex(n, VarRange(1, n), d), str(paths[-1]))
+    return paths
+
+
+class TestReportWriter:
+    """verify --report writes each passing check from one template; its bytes
+    are json.dumps(indent=2, sort_keys=True) of the document built from the
+    library report's checks, and the exit code follows its ok."""
+
+    @pytest.mark.parametrize("field", ["q", "p:2"])
+    def test_against_json_dumps(self, capsys, tmp_path, field):
+        outcomes = Counter()
+        out = tmp_path / "report.json"
+        for path in verify_inputs(tmp_path):
+            argv = ["verify", "--in", str(path), "--field", field, "--report", str(out)]
+            rc, _, _ = run(capsys, *argv)
+            X = import_json(str(path))
+            I = BorelIdeal.from_expanded(X.n, frozenset(X.vertex_labels))
+            report = verify_resolution(X, I, Field.parse(field))
+            minimal = check_minimal(X)
+            config = {
+                "command": "verify",
+                "field": field,
+                "ideal": {
+                    "vars": I.n,
+                    "degree": I.d,
+                    "borel_generators": [g.canonical() for g in I.borel_gens],
+                },
+            }
+            blob = json.dumps(config, sort_keys=True).encode()
+            doc = {
+                "tool": "borelcell",
+                "version": __version__,
+                "config": config,
+                "config_hash": hashlib.sha256(blob).hexdigest(),
+                "ok": report.ok and minimal,
+                "checks": [c.as_dict() for c in report.checks]
+                + [{"name": "minimal", "status": "pass" if minimal else "fail"}],
+            }
+            expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            assert out.read_text(encoding="utf-8") == expected, path.name
+            assert rc == (0 if doc["ok"] else 1)
+            outcomes[rc] += 1
+        # 3 golden complexes and P(4,4), P(5,3) pass; every mutant fails
+        assert outcomes[0] == 5 and outcomes[1] > 20
 
 
 def single_edit_mutants(doc):

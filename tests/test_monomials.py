@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from borelcell import monomials
 from borelcell.monomials import (
     Monomial,
     VarRange,
@@ -24,6 +25,7 @@ from borelcell.monomials import (
     unit,
     variable,
 )
+from references import exps_text_loop
 
 
 def m(text, n=3):
@@ -310,6 +312,49 @@ class TestTupleHelpers:
         assert _exps_text((2, 0, 1), letters=True) == "a^2*c"
         assert str(Monomial((0, 1, 0, 0, 3))) == "x2*x5^3"
         assert _exps_text((0, 0)) == _exps_text((0, 0), letters=True) == "1"
+
+    def test_text_table_on_a_grid(self):
+        for e in itertools.product(range(5), repeat=4):
+            for letters in (False, True):
+                assert _exps_text(e, letters) == exps_text_loop(e, letters)
+
+    def test_text_table_grows_past_what_it_holds(self, monkeypatch):
+        # from an empty table: each tuple reaches a variable or an exponent
+        # no earlier one did, and earlier texts still read the same
+        monkeypatch.setattr(monomials, "_FACTORS", {False: [], True: []})
+        seen = []
+        for e in [(1,), (0, 3), (2, 0, 0, 7), (1,) * 6, (0,) * 8 + (40,),
+                  (12, 1, 0, 0, 0, 0, 0, 0, 41, 2), (0,), (0,) * 12]:
+            seen.append(e)
+            for f in seen:
+                for letters in (False, True):
+                    assert _exps_text(f, letters) == exps_text_loop(f, letters)
+        assert len(monomials._FACTORS[False]) == 10
+        assert len(monomials._FACTORS[False][8]) == 42
+
+    @pytest.mark.parametrize("n", [27, 30, 41])
+    def test_text_table_past_26_variables(self, monkeypatch, n):
+        monkeypatch.setattr(monomials, "_FACTORS", {False: [], True: []})
+        rows = [(0,) * n, (3,) + (0,) * (n - 1), (0,) * (n - 1) + (2,),
+                tuple(i % 3 for i in range(n)), (0,) * 25 + (1,) + (0,) * (n - 26)]
+        for e in rows:
+            assert _exps_text(e) == exps_text_loop(e)
+            if any(e[26:]):  # no letter past z: both raise
+                with pytest.raises(IndexError):
+                    exps_text_loop(e, True)
+                with pytest.raises(IndexError):
+                    _exps_text(e, True)
+            else:
+                assert _exps_text(e, True) == exps_text_loop(e, True)
+        # a failed letters lookup leaves the table readable
+        assert _exps_text((1,) * 26 + (0,) * (n - 26), True) == "*".join(
+            "abcdefghijklmnopqrstuvwxyz"
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 27])
+    def test_text_of_the_unit(self, n):
+        for letters in (False, True):
+            assert _exps_text((0,) * n, letters) == "1" == exps_text_loop((0,) * n)
 
     @given(st.integers(0, 1 << 200))
     def test_bits_brute_force(self, mask):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 from functools import reduce
 from operator import le, or_
 from pathlib import Path
@@ -868,9 +869,9 @@ class TestVerifyWalk:
         )
         assert sorted(lives, key=_exps_key) == degrees
         assert lives == {b: and_select(below, b) for b in degrees}
-        checks = resolution._acyclicity_checks(C, n, Q)
-        assert [c.exps for c in checks] == degrees
-        assert all(c.status == "pass" for c in checks)
+        walked, failures = resolution._acyclicity_checks(C, n, Q)
+        assert list(walked) == degrees
+        assert failures == {}
 
     @pytest.mark.parametrize(
         "n, d, count", [(4, 3, 65), (3, 2, 7), (3, 3, 15), (3, 4, 31), (3, 5, 63)]
@@ -951,3 +952,58 @@ class TestNerveShortcut:
         )
         assert report.checks[-1].degree == "x1^2*x2^2"
         assert [c.status for c in report.checks[1:-1]] == ["pass"] * 5
+
+
+class TestChecksView:
+    """verify_resolution keeps plain degrees and the failed ones' witnesses;
+    report.checks is built from them on first read and equals the checks
+    recorded in the golden reports, which held a CheckResult per degree."""
+
+    @pytest.mark.parametrize(
+        "source, golden",
+        [
+            ("P33", "verify_P33.json"),
+            ("complex_P43_drop.json", "verify_P43_drop.json"),
+        ],
+    )
+    def test_checks_equal_the_golden_reports(self, source, golden):
+        def load():
+            if source == "P33":
+                data = json.loads(dumps(power_complex(3, VarRange(1, 3), 3)))
+            else:
+                data = json.loads((DATA / source).read_text())
+            return dict_to_complex(data)  # a complex of its own, pickled below
+
+        X = load()
+        I = BorelIdeal.from_expanded(X.n, frozenset(X.vertex_labels))
+        *recorded, minimal = json.loads((DATA / golden).read_text())["checks"]
+        assert minimal == {"name": "minimal", "status": "pass"}
+        expected = tuple(
+            CheckResult(
+                c["name"],
+                c["status"],
+                m(c["degree"], X.n).exps if "degree" in c else None,
+                c.get("witness"),
+            )
+            for c in recorded
+        )
+        unread = verify_resolution(X, I)
+        twin = pickle.loads(pickle.dumps(verify_resolution(X, I)))
+        report = verify_resolution(X, I)
+        assert report.checks == expected
+        assert report.checks is report.checks
+        assert [c.as_dict() for c in report.checks] == recorded
+        # degrees and failures agree with the checks after the first
+        assert report.degrees == tuple(c.exps for c in expected[1:])
+        assert report.failures == {
+            c.exps: c.witness for c in expected[1:] if c.status == "fail"
+        }
+        assert report.ok == all(c.status == "pass" for c in expected)
+        # equality and hash read the checks, read or not before
+        assert unread == report == verify_resolution(X, I)
+        assert twin == report and twin.checks == expected
+        if report.ok:
+            assert hash(unread) == hash(report) == hash((True, "q", expected))
+        else:
+            with pytest.raises(TypeError):
+                hash(report)  # a failed check's witness is a dict

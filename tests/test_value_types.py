@@ -74,7 +74,7 @@ FIELDS = {
     LabelChainReport: ("lo", "hi", "chains", "labels", "increasing", "decreasing"),
     ChainComplex: ("dims", "vertices", "labels", "columns"),
     CheckResult: ("name", "status", "exps", "witness"),
-    ResolutionReport: ("ok", "field", "checks", "subject", "degrees"),
+    ResolutionReport: ("ok", "field", "checks", "subject", "degrees", "failures"),
 }
 
 
@@ -277,6 +277,8 @@ class TestReports:
         assert ResolutionReport(True, "q", (), subject=X, degrees=((1, 1),)) == (
             ResolutionReport(True, "q", ())
         )
+        assert report.failures == {} and bare.failures is None
+        assert ResolutionReport(True, "q", (), failures={}) == ResolutionReport(True, "q", ())
         assert report != ResolutionReport(not report.ok, report.field, report.checks)
         assert repr(ResolutionReport(True, "q", ())) == (
             "ResolutionReport(ok=True, field='q', checks=())"
