@@ -41,10 +41,14 @@ facets per ridge, that holds on all ridges of c iff the facets' ridge masks,
 each split by sign and signed by its facet's sign in c, cover every ridge
 once with +1 and once with -1.
 
-`_finalize` returns the finished complex as one `ChainComplex` of arrays
+A complex stores the masks it is built on (vertex exponent tuples, the
+{face mask: dim} map, and supplied signs until they are checked) and, once
+`_finalize` has run, the finished complex as one `ChainComplex` of arrays
 indexed by cell id, cached as `_chain`; supplied signs are dropped once it
-exists.  Every other module reads those arrays, and `Cell` objects exist
-only in the `cells` view, built on first read for library callers.
+exists.  `_finalize` alone computes a finished cell's vertex ids and label,
+and every other module reads those arrays.  The `faces`, `labels` and
+`cells` views are built on first read for library callers: `labels` takes
+each face's lcm then, and `Cell` objects exist only in `cells`.
 """
 from __future__ import annotations
 
@@ -91,9 +95,7 @@ class Cell(_Value):
 
 
 # the cached properties of a LabeledComplex that its other state determines
-_RECOMPUTED = frozenset(
-    ("_vertex_ids", "faces", "_label_exps", "labels", "vertex_labels", "cells")
-)
+_RECOMPUTED = frozenset(("faces", "labels", "vertex_labels", "cells"))
 
 
 class LabeledComplex:
@@ -156,18 +158,10 @@ class LabeledComplex:
         self._signs = signs
 
     @cached_property
-    def _vertex_ids(self) -> dict[int, tuple[int, ...]]:
-        """Face mask -> its vertex ids, ascending."""
-        return {f: tuple(_bits(f)) for f in self._dims}
-
-    @cached_property
     def faces(self):
         vs = self.vertex_labels
         return MappingProxyType(
-            {
-                frozenset(vs[i] for i in ids): self._dims[f]
-                for f, ids in self._vertex_ids.items()
-            }
+            {frozenset(vs[i] for i in _bits(f)): d for f, d in self._dims.items()}
         )
 
     def __eq__(self, other) -> bool:
@@ -190,21 +184,10 @@ class LabeledComplex:
         return len(self._dims)
 
     @cached_property
-    def _label_exps(self) -> dict[int, tuple[int, ...]]:
-        verts = self._verts
-        return {
-            f: tuple(map(max, zip(*(verts[i] for i in ids))))
-            for f, ids in self._vertex_ids.items()
-        }
-
-    @cached_property
     def labels(self):
         """Cell label = lcm of the vertex labels."""
-        # faces lists its keys in the order of self._dims
-        lab = self._label_exps
-        return MappingProxyType(
-            {k: Monomial(lab[f]) for k, f in zip(self.faces, self._dims)}
-        )
+        lcm = [tuple(map(max, zip(*(v.exps for v in k)))) for k in self.faces]
+        return MappingProxyType(dict(zip(self.faces, map(Monomial, lcm))))
 
     @cached_property
     def vertex_labels(self) -> tuple[Monomial, ...]:
@@ -235,11 +218,11 @@ class LabeledComplex:
         return tuple(map(Cell, ids, C.dims, C.vertices, labels, C.columns))
 
     def _name(self, f: int) -> list[str]:
-        return sorted(str(Monomial(self._verts[i])) for i in self._vertex_ids[f])
+        return sorted(str(Monomial(self._verts[i])) for i in _bits(f))
 
     def _finalize(self) -> ChainComplex:
-        dims = self._dims
-        verts_of = self._vertex_ids
+        dims, verts = self._dims, self._verts
+        verts_of = {f: tuple(_bits(f)) for f in dims}  # vertex ids, ascending
         keys = sorted(dims, key=verts_of.__getitem__)
         keys.sort(key=dims.__getitem__)  # stable: by dimension, then vertex ids
         fv = self.f_vector()
@@ -250,7 +233,7 @@ class LabeledComplex:
         # star[d][v]: the d-cells that contain vertex v, as a mask over
         # offsets from first[d]; the AND over a cell's vertices of the stars
         # one dimension up is the set of its cofacets
-        star = [[0] * len(self._verts) for _ in fv]
+        star = [[0] * len(verts) for _ in fv]
         for i, f in enumerate(keys):
             s, bit = star[dims[f]], 1 << (i - first[dims[f]])
             for v in verts_of[f]:
@@ -378,11 +361,11 @@ class LabeledComplex:
             neg[c] = below[c] ^ pos[c]
         del below, pos, neg, torn
 
-        lab = self._label_exps
+        ids = tuple(verts_of[f] for f in keys)
         return ChainComplex(
             tuple(dims[f] for f in keys),
-            tuple(verts_of[f] for f in keys),
-            tuple(lab[f] for f in keys),
+            ids,
+            tuple(tuple(map(max, zip(*map(verts.__getitem__, vs)))) for vs in ids),
             tuple(tuple(zip(fs, sg)) for fs, sg in zip(facets, sign)),
         )
 
@@ -501,10 +484,9 @@ def restrict(X: LabeledComplex, b: Monomial) -> LabeledComplex:
     """
     if b.n != X.n:
         raise ValueError("ambient mismatch")
-    lab = X._label_exps
-    return _subcomplex(
-        X, {f: d for f, d in X._dims.items() if all(map(le, lab[f], b.exps))}
-    )
+    # a label is the lcm of its cell's vertex labels: it divides b iff they do
+    span = sum(1 << i for i, e in enumerate(X._verts) if all(map(le, e, b.exps)))
+    return _subcomplex(X, {f: d for f, d in X._dims.items() if not f & ~span})
 
 
 def spanned_subcomplex(X: LabeledComplex, V) -> LabeledComplex:

@@ -1,9 +1,9 @@
 """Exact monomial arithmetic in a fixed ambient ring k[x1..xn].
 
-Monomials are exponent vectors.  Besides products, lcm and divisibility,
-this module provides the two pieces of structure everything else is built
-on: the exchange move x_t -> x_s (s < t) that defines Borel fixed ideals,
-and the right-lex comparison used to order monomials of equal degree.
+Monomials are exponent vectors.  Besides products and divisibility, this
+module provides the two pieces of structure everything else is built on:
+the exchange move x_t -> x_s (s < t) that defines Borel fixed ideals, and
+the right-lex order of monomials of equal degree.
 
 Inside the pipeline a monomial is its exponent tuple, and a `Monomial` is
 built, and validated, only where the API returns one.  This module owns
@@ -14,7 +14,6 @@ package's immutable types: plain classes, so an import generates no code.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from operator import or_
@@ -24,14 +23,10 @@ __all__ = [
     "VarRange",
     "variable",
     "unit",
-    "lcm",
-    "lcm_many",
     "suffix_sums",
-    "rlex_cmp",
     "rlex_key",
     "canonical_key",
     "parse_monomial",
-    "monomials_of_degree",
     "minimal_under_divisibility",
 ]
 
@@ -229,19 +224,6 @@ def unit(n: int) -> Monomial:
     return Monomial((0,) * n)
 
 
-def lcm(a: Monomial, b: Monomial) -> Monomial:
-    if a.n != b.n:
-        raise ValueError("ambient mismatch")
-    return Monomial(tuple(max(x, y) for x, y in zip(a.exps, b.exps)))
-
-
-def lcm_many(ms) -> Monomial:
-    ms = list(ms)
-    if not ms:
-        raise ValueError("lcm of no monomials is undefined without an ambient")
-    return functools.reduce(lcm, ms)
-
-
 def suffix_sums(m: Monomial) -> tuple[int, ...]:
     """s[i] = e_{i+1} + ... + e_n for 0-based i; s[0] is the degree."""
     out = [0] * m.n
@@ -260,22 +242,6 @@ def rlex_key(m: Monomial) -> tuple[int, ...]:
 def canonical_key(m: Monomial) -> tuple:
     """Total order across degrees: by degree, then rlex-descending within a degree."""
     return _exps_key(m.exps)
-
-
-def rlex_cmp(a: Monomial, b: Monomial) -> int:
-    """+1 if a comes before b in right-lex (a > b), -1 if after, 0 if equal.
-
-    a > b exactly when the rightmost nonzero entry of exps(a) - exps(b) is
-    negative.  Only defined for equal degrees.
-    """
-    if a.n != b.n:
-        raise ValueError("ambient mismatch")
-    if a.degree != b.degree:
-        raise ValueError("rlex compares monomials of equal degree only")
-    ka, kb = rlex_key(a), rlex_key(b)
-    if ka == kb:
-        return 0
-    return 1 if ka < kb else -1
 
 
 def parse_monomial(text: str, n: int) -> Monomial:
@@ -309,17 +275,6 @@ def parse_monomial(text: str, n: int) -> Monomial:
         if pos == 0:
             raise ValueError(f"bad factor {part!r} in {text!r}")
     return Monomial(tuple(exps))
-
-
-def monomials_of_degree(n: int, d: int):
-    """Yield every degree-d monomial of k[x1..xn], deterministically ordered."""
-    if n < 1 or d < 0:
-        raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-    for combo in itertools.combinations_with_replacement(range(n), d):
-        exps = [0] * n
-        for i in combo:
-            exps[i] += 1
-        yield Monomial(tuple(exps))
 
 
 def minimal_under_divisibility(ms) -> tuple[Monomial, ...]:

@@ -19,9 +19,10 @@ checks the JSON's shape (types, known and unrepeated ids, unit signs, one
 dimension per vertex set, a 0-cell per vertex record) and keeps the signs
 per cell, as {cell mask: {facet mask: sign}}, and the label texts; the
 document is freed before the `_finalize` that checks built complexes checks
-the signs and every structural invariant.  Structural, sign and label
-violations are rejected, never repaired; an export-import round trip is the
-identity on cells and signs.
+the signs and every structural invariant.  Each label text is then checked
+against the finished arrays: the label of the cell with the same vertex ids.
+Structural, sign and label violations are rejected, never repaired; an
+export-import round trip is the identity on cells and signs.
 """
 from __future__ import annotations
 
@@ -210,13 +211,13 @@ def _build(n: int, verts: tuple, faces: dict, signs: dict, texts: dict):
         # the constructor and `_chain` re-assert every structural invariant
         # and check the signs against the facet relation they derive
         X = LabeledComplex._from_masks(n, verts, faces, signs)
-        X._chain
+        C = X._chain
     except ValueError as exc:
         raise _invalid(exc) from exc
-    labels = X._label_exps
-    for key, text in texts.items():
+    bit = [1 << i for i in range(len(verts))]
+    for ids, e in zip(C.vertices, C.labels):
         # a canonically spelled label needs no parse
-        e = labels[key]
+        text = texts[sum(map(bit.__getitem__, ids))]
         if text != _exps_text(e) and _parse_label(text, n).exps != e:
             raise _invalid("cell label is the lcm of its vertices")
     return X

@@ -1,5 +1,6 @@
 """Helpers the package does not ship, kept here for the tests that use
-them: a seeded random Borel ideal, the closure under exchange moves and
+them: lcm, right-lex comparison and enumeration of the monomials of one
+degree, a seeded random Borel ideal, the closure under exchange moves and
 every Borel ideal generated in one degree built from it, a label scaling of
 a complex, the scan-and-BFS `finalize_reference` that
 `LabeledComplex._finalize` replaced, the per-degree cell selection
@@ -7,11 +8,53 @@ a complex, the scan-and-BFS `finalize_reference` that
 factor-by-factor label text `exps_text_loop` that the table of factor texts
 replaced, and a recorder of the writes to files opened for writing."""
 import builtins
+import functools
+import itertools
 import random
 
 from borelcell.borel import BorelIdeal
 from borelcell.complexes import Cell, LabeledComplex
-from borelcell.monomials import Monomial, canonical_key, monomials_of_degree
+from borelcell.monomials import Monomial, canonical_key, rlex_key
+
+
+def lcm(a: Monomial, b: Monomial) -> Monomial:
+    if a.n != b.n:
+        raise ValueError("ambient mismatch")
+    return Monomial(tuple(max(x, y) for x, y in zip(a.exps, b.exps)))
+
+
+def lcm_many(ms) -> Monomial:
+    ms = list(ms)
+    if not ms:
+        raise ValueError("lcm of no monomials is undefined without an ambient")
+    return functools.reduce(lcm, ms)
+
+
+def rlex_cmp(a: Monomial, b: Monomial) -> int:
+    """+1 if a comes before b in right-lex (a > b), -1 if after, 0 if equal.
+
+    a > b exactly when the rightmost nonzero entry of exps(a) - exps(b) is
+    negative.  Only defined for equal degrees.
+    """
+    if a.n != b.n:
+        raise ValueError("ambient mismatch")
+    if a.degree != b.degree:
+        raise ValueError("rlex compares monomials of equal degree only")
+    ka, kb = rlex_key(a), rlex_key(b)
+    if ka == kb:
+        return 0
+    return 1 if ka < kb else -1
+
+
+def monomials_of_degree(n: int, d: int):
+    """Yield every degree-d monomial of k[x1..xn], deterministically ordered."""
+    if n < 1 or d < 0:
+        raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+    for combo in itertools.combinations_with_replacement(range(n), d):
+        exps = [0] * n
+        for i in combo:
+            exps[i] += 1
+        yield Monomial(tuple(exps))
 
 
 def random_borel_minimal(n, d, s, seed):
@@ -68,8 +111,10 @@ def finalize_reference(X):
     complex are derived by a breadth-first walk of each cell's facet-ridge
     graph.  Same checks, same messages, same cells; X._signs, when present,
     is read in the per-cell form {cell mask: {facet mask: sign}}."""
-    dims = X._dims
-    verts_of = X._vertex_ids
+    dims, verts = X._dims, X._verts
+    verts_of = {
+        f: tuple(i for i in range(len(verts)) if f >> i & 1) for f in dims
+    }
     keys = sorted(dims, key=verts_of.__getitem__)
     keys.sort(key=dims.__getitem__)
     fv = X.f_vector()
@@ -152,9 +197,13 @@ def finalize_reference(X):
                     f"orientation contradiction inside cell {X._name(keys[c])}"
                 )
 
-    lab = X._label_exps
+    def label(f):
+        return Monomial(
+            tuple(max(verts[i][j] for i in verts_of[f]) for j in range(X.n))
+        )
+
     return tuple(
-        Cell(i, dims[f], verts_of[f], Monomial(lab[f]),
+        Cell(i, dims[f], verts_of[f], label(f),
              tuple((t, sign[i][t]) for t in facets[i]))
         for i, f in enumerate(keys)
     )

@@ -31,9 +31,7 @@ from borelcell.monomials import (
     Monomial,
     VarRange,
     canonical_key,
-    lcm,
     minimal_under_divisibility,
-    monomials_of_degree,
     parse_monomial,
     unit,
 )
@@ -45,7 +43,7 @@ from borelcell.resolution import (
     check_minimal,
     verify_resolution,
 )
-from references import random_borel_minimal
+from references import lcm, monomials_of_degree, random_borel_minimal
 
 
 def m(text, n=3):

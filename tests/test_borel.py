@@ -17,15 +17,13 @@ from borelcell.borel import (
     parse_ideal_spec,
     principal_decomposition,
 )
-from borelcell.monomials import (
-    Monomial,
-    VarRange,
-    canonical_key,
+from borelcell.monomials import Monomial, VarRange, canonical_key, parse_monomial, unit
+from references import (
+    all_borel_ideals,
     monomials_of_degree,
-    parse_monomial,
-    unit,
+    move_closure,
+    random_borel_minimal,
 )
-from references import all_borel_ideals, move_closure, random_borel_minimal
 
 
 def m(text, n=3):

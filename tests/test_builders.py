@@ -9,16 +9,9 @@ from borelcell.builders import (
     principal_complex,
 )
 from borelcell.complexes import _glue, product, simplex, union
-from borelcell.monomials import (
-    Monomial,
-    VarRange,
-    monomials_of_degree,
-    parse_monomial,
-    unit,
-    variable,
-)
+from borelcell.monomials import Monomial, VarRange, parse_monomial, unit, variable
 from borelcell.serialize import dumps
-from references import random_borel_minimal, scale_labels
+from references import monomials_of_degree, random_borel_minimal, scale_labels
 
 # test_matches_extraction_exhaustive's monomials: (n, top degree)
 EXHAUSTIVE = [(2, 4), (3, 4), (4, 4), (5, 3)]

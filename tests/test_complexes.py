@@ -2,6 +2,8 @@ import copy
 import pickle
 import random
 from collections import Counter
+from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +18,12 @@ from borelcell.complexes import (
     spanned_subcomplex,
     union,
 )
-from borelcell.monomials import Monomial, VarRange, lcm_many, parse_monomial, unit
+from borelcell.monomials import Monomial, VarRange, _bits, parse_monomial, unit
 from borelcell.resolution import chain_complex
-from borelcell.serialize import complex_to_dict, dict_to_complex, dumps
-from references import finalize_reference, scale_labels
+from borelcell.serialize import complex_to_dict, dict_to_complex, dumps, import_json
+from references import finalize_reference, lcm_many, scale_labels
+
+DATA = Path(__file__).parent / "data"
 
 
 def m(text, n=3):
@@ -357,7 +361,7 @@ class TestFinalizeAgainstReference:
                 f = rng.choice([f for f in cells if f.bit_count() > 2])
                 dims[f] = rng.randint(2, f.bit_count() - 1)
             else:
-                key = sorted(dims, key=lambda f: (dims[f], B._vertex_ids[f]))
+                key = sorted(dims, key=lambda f: (dims[f], tuple(_bits(f))))
                 signs = {
                     key[c.id]: {key[t]: s for t, s in c.facets} for c in B.cells
                 }
@@ -435,6 +439,45 @@ class TestCopyAndPickle:
             assert "cells" not in vars(Y)
             assert Y.cells == X.cells != p2abc().cells
             assert Y.cells[top["id"]].facets == C.columns[top["id"]]
+
+    @pytest.mark.parametrize("read", ["faces", "labels", "cells"])
+    def test_imported_complex(self, read):
+        X = import_json(str(DATA / "complex_Q5_two_gens.json"))
+        getattr(X, read)
+        for Y in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+            assert Y == X
+            assert Y.cells == X.cells
+            assert dict(Y.labels) == dict(X.labels)
+            assert dumps(Y) == dumps(X)
+
+
+class TestOneStoredForm:
+    """Once finished, a complex holds the face masks it was built on and the
+    `ChainComplex`; no other copy of its cells is keyed by face mask."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: p2abc(),
+            lambda: builders.borel_complex(
+                BorelIdeal.from_borel_gens(4, [m("b*c*d", 4), m("a^2*d", 4)])
+            ),
+            lambda: import_json(str(DATA / "complex_P43.json")),
+        ],
+        ids=["power", "borel", "imported"],
+    )
+    def test_no_mask_keyed_copies(self, make):
+        X = make()
+        chain_complex(X)
+        assert X._signs is None
+        for read in (None, "faces", "labels", "vertex_labels", "cells"):
+            if read:
+                getattr(X, read)
+            state = vars(X)
+            assert not {"_vertex_ids", "_label_exps"} & set(state)
+            for name, value in state.items():
+                if name != "_dims" and isinstance(value, Mapping):
+                    assert not set(value) & set(X._dims), (read, name)
 
 
 class TestInstallCells:

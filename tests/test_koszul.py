@@ -17,13 +17,11 @@ from borelcell.lattice import build_lattice
 from borelcell.monomials import (
     Monomial,
     canonical_key,
-    lcm,
     minimal_under_divisibility,
-    monomials_of_degree,
     parse_monomial,
 )
 from borelcell.resolution import betti_from_cells, betti_totals, verify_resolution
-from references import all_borel_ideals
+from references import all_borel_ideals, lcm, monomials_of_degree
 
 Q = Field()
 FIELDS = (Q, Field.parse("p:2"))

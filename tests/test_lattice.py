@@ -19,15 +19,13 @@ from borelcell.lattice import (
     maximal_chains,
     natural_label_check,
 )
-from borelcell.monomials import (
-    Monomial,
-    canonical_key,
+from borelcell.monomials import Monomial, canonical_key, parse_monomial, unit
+from references import (
+    all_borel_ideals,
     lcm_many,
     monomials_of_degree,
-    parse_monomial,
-    unit,
+    random_borel_minimal,
 )
-from references import all_borel_ideals, random_borel_minimal
 
 
 def m(text, n=3):

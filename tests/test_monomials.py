@@ -14,18 +14,14 @@ from borelcell.monomials import (
     _exps_key,
     _exps_text,
     canonical_key,
-    lcm,
-    lcm_many,
     minimal_under_divisibility,
-    monomials_of_degree,
     parse_monomial,
-    rlex_cmp,
     rlex_key,
     suffix_sums,
     unit,
     variable,
 )
-from references import exps_text_loop
+from references import exps_text_loop, lcm, lcm_many, monomials_of_degree, rlex_cmp
 
 
 def m(text, n=3):

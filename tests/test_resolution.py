@@ -28,8 +28,6 @@ from borelcell.monomials import (
     _bits,
     _exps_key,
     canonical_key,
-    lcm_many,
-    monomials_of_degree,
     parse_monomial,
 )
 from borelcell.resolution import (
@@ -45,7 +43,7 @@ from borelcell.resolution import (
     verify_resolution,
 )
 from borelcell.serialize import dict_to_complex, dumps
-from references import all_borel_ideals, and_select
+from references import all_borel_ideals, and_select, lcm_many, monomials_of_degree
 
 Q = Field()
 DATA = Path(__file__).parent / "data"

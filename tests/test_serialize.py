@@ -1,6 +1,7 @@
 import copy
 import gc
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from borelcell.borel import BorelIdeal
 from borelcell.builders import borel_complex, power_complex, principal_complex
 from borelcell.complexes import LabeledComplex
-from borelcell.monomials import VarRange, monomials_of_degree, parse_monomial, rlex_cmp
+from borelcell.monomials import VarRange, parse_monomial
 from borelcell.serialize import (
     _CELL_FIELDS,
     complex_to_dict,
@@ -18,7 +19,7 @@ from borelcell.serialize import (
     export_json,
     import_json,
 )
-from references import record_writes
+from references import monomials_of_degree, record_writes, rlex_cmp
 
 
 DATA = Path(__file__).parent / "data"
@@ -209,6 +210,50 @@ class TestStreaming:
         # the control: dict_to_complex's caller holds the document
         dict_to_complex(json.loads(path.read_text(encoding="utf-8")))
         assert alive == [0, len(X)]
+
+
+class TestRenumberedLabels:
+    """Each file label is checked against the finished complex's label of
+    the cell with the same vertices, whatever the records' order and ids."""
+
+    TEXT = (DATA / "complex_P43.json").read_text()
+
+    def shuffled(self):
+        # every id shifted by +7, vertex and cell records shuffled
+        data = json.loads(self.TEXT)
+        for rec in data["vertices"]:
+            rec["id"] += 7
+        for rec in data["cells"]:
+            rec["id"] += 7
+            rec["vertices"] = [v + 7 for v in rec["vertices"]]
+            rec["facets"] = [[fid + 7, sign] for fid, sign in rec["facets"]]
+        rng = random.Random(43)
+        rng.shuffle(data["vertices"])
+        rng.shuffle(data["cells"])
+        return data
+
+    def test_imports_and_reexports_the_original_bytes(self):
+        data = self.shuffled()
+        assert data["cells"][0]["id"] != 7
+        assert dumps(dict_to_complex(data)) == self.TEXT
+
+    def test_an_endpoint_label_on_an_edge_is_rejected(self):
+        data = self.shuffled()
+        label = {rec["id"]: rec["label"] for rec in data["vertices"]}
+        edge = next(rec for rec in data["cells"] if rec["dim"] == 1)
+        edge["label"] = label[edge["vertices"][0]]
+        reject(data, "cell label is the lcm of its vertices")
+
+    def test_a_respelled_label_imports(self):
+        data = self.shuffled()
+        rec = next(r for r in data["cells"] if r["label"].count("*") >= 2)
+        # letters for x<i>, factors reversed: x1^2*x2*x4 is d*b*a^2
+        factors = rec["label"].replace("x", "").split("*")
+        rec["label"] = "*".join(
+            "abcd"[int(f[0]) - 1] + f[1:] for f in reversed(factors)
+        )
+        assert rec["label"] != parse_monomial(rec["label"], 4).canonical()
+        assert dumps(dict_to_complex(data)) == self.TEXT
 
 
 class TestImportValidation:
