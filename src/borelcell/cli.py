@@ -46,13 +46,7 @@ from .exact import Field
 from .koszul import betti_via_koszul
 from .lattice import build_lattice, is_ranked, natural_label_check
 from .monomials import VarRange, _exps_key, _exps_text, canonical_key, parse_monomial
-from .resolution import (
-    CheckResult,
-    betti_from_cells,
-    betti_totals,
-    check_minimal,
-    verify_resolution,
-)
+from .resolution import betti_from_cells, betti_totals, check_minimal, verify_resolution
 from .serialize import _array, _string, _write, export_json, import_json
 
 __all__ = ["main"]
@@ -208,6 +202,9 @@ def _ideal_config(I: BorelIdeal) -> dict:
     }
 
 
+_VERDICT = {True: "pass", False: "fail"}
+
+
 def _run_verify(ns: argparse.Namespace) -> int:
     X = import_json(ns.in_path)
     if ns.vars is not None and ns.vars != X.n:
@@ -225,13 +222,14 @@ def _run_verify(ns: argparse.Namespace) -> int:
     minimal = check_minimal(X)
     ok = report.ok and minimal
 
-    bsq, degrees, failures = report._checks[0], report.degrees, report.failures
+    bsq = _VERDICT[report.boundary_squared_zero]
+    degrees, failures = report.degrees, report.failures
     print(f"field: {ns.field}")
-    print(f"boundary_squared_zero: {bsq.status}")
+    print(f"boundary_squared_zero: {bsq}")
     print(f"acyclic degrees: {len(degrees) - len(failures)}/{len(degrees)} pass")
     for b in sorted(failures, key=_exps_key):  # canonical order
         print(f"  fail at {_exps_text(b)}: {failures[b]}")
-    print(f"minimal: {'pass' if minimal else 'fail'}")
+    print(f"minimal: {_VERDICT[minimal]}")
     print(f"ok: {'yes' if ok else 'no'}")
 
     if ns.report:
@@ -242,15 +240,17 @@ def _run_verify(ns: argparse.Namespace) -> int:
         }
         # every passing check is written from one template, as _dumps lays it out
         row = _dumps(dict(degree=_Text("%s"), name="acyclic", status="pass"), "    ")
+        fail = {"name": "acyclic", "status": "fail"}
 
         def checks():
-            yield bsq.as_dict()
+            yield {"name": "boundary_squared_zero", "status": bsq}
             for b in degrees:
+                text = _exps_text(b)
                 if b in failures:
-                    yield CheckResult("acyclic", "fail", b, failures[b]).as_dict()
+                    yield dict(fail, degree=text, witness=failures[b])
                 else:
-                    yield _Text(row % _string(_exps_text(b)))
-            yield CheckResult("minimal", "pass" if minimal else "fail").as_dict()
+                    yield _Text(row % _string(text))
+            yield {"name": "minimal", "status": _VERDICT[minimal]}
 
         _write_report(ns.report, config, {"ok": ok, "checks": checks()})
     return 0 if ok else 1
@@ -313,6 +313,8 @@ def _run_lattice(ns: argparse.Namespace) -> int:
         L = build_lattice(borel_generators(n, gens))
     else:
         L = build_lattice(_equal_degree_ideal(n, kind, gens))
+    # the check runs before the first print: a rejected interval prints nothing
+    rep = is_ranked(L) if ns.check == "ranked" else natural_label_check(L, lo, hi)
     print(f"atoms: {len(L.atoms)}")
     print(f"elements: {len(L)}")
     config = {
@@ -324,7 +326,6 @@ def _run_lattice(ns: argparse.Namespace) -> int:
     }
 
     if ns.check == "ranked":
-        rep = is_ranked(L)
         print(f"ranked: {'yes' if rep else 'no'} (criterion: {rep.criterion})")
         result: dict = {"ranked": rep.ranked, "criterion": rep.criterion}
         if rep.witness_cover is not None:
@@ -344,7 +345,6 @@ def _run_lattice(ns: argparse.Namespace) -> int:
         rc = 0 if rep.ranked else 1
     else:
         config["interval"] = [lo.canonical(), hi.canonical()]
-        rep = natural_label_check(L, lo, hi)
         print(f"interval [{lo}, {hi}]: {len(rep.chains)} maximal chains")
         print(f"increasing bottom-up: {len(rep.increasing)}")
         # reversing a walk reverses its labels: read from the top, the

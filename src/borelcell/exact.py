@@ -103,8 +103,8 @@ class Field(_Value):
     __slots__ = _fields = ("p",)
 
     def __init__(self, p: int | None = None) -> None:
-        if p is not None and not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        if p is not None and not (type(p) is int and is_prime(p)):
+            raise ValueError(f"{p!r} is not prime")
         self._init(p)
 
     @classmethod

@@ -16,7 +16,10 @@ returned by chain_complex.  A facet's label divides its cell's by
 construction: both are lcms of vertex labels.  verify_resolution checks the
 square of C = chain_complex(X) with check_boundary_squared_zero, then hands
 the same C to the acyclicity kernel, which cuts its selections from C's
-labels and its rank matrices from C's columns.
+labels and its rank matrices from C's columns.  Its ResolutionReport holds
+these results alone: the boundary verdict, the degrees in canonical order,
+{degree: witness} for the failed ones, and ok when the square is zero and
+nothing failed.
 
 verify_resolution decides every degree with one kernel over the cells of
 the already oriented complex.  lattice._walk over C's own label masks hands
@@ -89,14 +92,13 @@ from .borel import BorelIdeal
 from .complexes import ChainComplex, LabeledComplex
 from .exact import Field
 from .lattice import _walk
-from .monomials import Monomial, _below_masks, _bits, _exps_text, _set, _Value
+from .monomials import Monomial, _below_masks, _bits, _Value
 
 __all__ = [
     "ChainComplex",
     "chain_complex",
     "check_boundary_squared_zero",
     "homology_dims",
-    "CheckResult",
     "ResolutionReport",
     "verify_resolution",
     "check_minimal",
@@ -138,49 +140,17 @@ def homology_dims(X: LabeledComplex, fld: Field) -> tuple[int, ...]:
     return _residual_homology(chain_complex(X), range(len(X)), X.dim, fld)
 
 
-class CheckResult(_Value):
-    # status "pass" or "fail"; exps: the degree checked, if any
-    __slots__ = _fields = ("name", "status", "exps", "witness")
-
-    def __init__(self, name: str, status: str, exps=None, witness=None) -> None:
-        _set(self, "name", name)
-        _set(self, "status", status)
-        _set(self, "exps", exps)
-        _set(self, "witness", witness)
-
-    @property
-    def degree(self) -> str | None:
-        """The degree as text, formatted only when read."""
-        return None if self.exps is None else _exps_text(self.exps)
-
-    def as_dict(self) -> dict:
-        out = {"name": self.name, "status": self.status}
-        if self.exps is not None:
-            out["degree"] = self.degree
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
 class ResolutionReport(_Value):
-    # equality, hash and repr ignore subject, degrees and failures; given
-    # failures, checks holds those before the degrees until its first read
-    __slots__ = ("ok", "field", "_checks", "subject", "degrees", "failures")
-    _fields = ("ok", "field", "checks")
+    # equality and repr ignore subject, the complex checked; failures,
+    # {degree: witness}, is a dict, so a report is unhashable
+    _fields = ("ok", "field", "boundary_squared_zero", "degrees", "failures")
+    __slots__ = _fields + ("subject",)
+    __hash__ = None
 
-    def __init__(self, ok, field, checks, subject=None, degrees=(), failures=None):
-        self._init(ok, field, checks, subject, degrees, failures)
-
-    @property
-    def checks(self) -> tuple:
-        checks, fails = self._checks, self.failures
-        if fails is not None and len(checks) <= len(self.degrees):
-            checks += tuple(
-                CheckResult("acyclic", "pass" if w is None else "fail", b, w)
-                for b, w in zip(self.degrees, map(fails.get, self.degrees))
-            )
-            _set(self, "_checks", checks)
-        return checks
+    def __init__(
+        self, ok, field, boundary_squared_zero, degrees, failures, subject=None
+    ) -> None:
+        self._init(ok, field, boundary_squared_zero, degrees, failures, subject)
 
 
 def _acyclicity_checks(C: ChainComplex, n: int, fld: Field):
@@ -298,18 +268,16 @@ def verify_resolution(
     Verifies the squared differential and, for every lcm-lattice degree b
     above the bottom (top included), that the label-restricted subcomplex
     has zero reduced homology.  Degrees are checked serially in a fixed
-    order.
+    order; the report lists them in canonical order, with a witness for
+    each failed one.
     """
     C = chain_complex(X)
     # the 0-cells come first and carry the vertex labels
     if set(C.labels[: C.dims.count(0)]) != {g.exps for g in I.expanded}:
         raise ValueError("vertex labels differ from the minimal generators")
-    bsq = CheckResult(
-        "boundary_squared_zero", "pass" if check_boundary_squared_zero(C) else "fail"
-    )
+    bsq = check_boundary_squared_zero(C)
     degrees, failures = _acyclicity_checks(C, I.n, fld)
-    ok = bsq.status == "pass" and not failures
-    return ResolutionReport(ok, str(fld), (bsq,), X, degrees, failures)
+    return ResolutionReport(bsq and not failures, str(fld), bsq, degrees, failures, X)
 
 
 def check_minimal(X: LabeledComplex) -> bool:

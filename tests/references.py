@@ -6,7 +6,8 @@ a complex, the scan-and-BFS `finalize_reference` that
 `LabeledComplex._finalize` replaced, the per-degree cell selection
 `and_select` that the acyclicity kernel's lattice walk replaced, the
 factor-by-factor label text `exps_text_loop` that the table of factor texts
-replaced, and a recorder of the writes to files opened for writing."""
+replaced, a recorder of the writes to files opened for writing, and the
+rows of a verify report's checks, rebuilt from the report's fields."""
 import builtins
 import functools
 import itertools
@@ -257,3 +258,27 @@ def record_writes(monkeypatch):
 
     monkeypatch.setattr(builtins, "open", recording_open)
     return writes
+
+
+def acyclic_rows(report):
+    """(degree, status, witness or None) for each degree of a verify report,
+    in the report's order; every failure is at one of its degrees."""
+    assert report.failures.keys() <= set(report.degrees)
+    return [
+        (b, "fail" if b in report.failures else "pass", report.failures.get(b))
+        for b in report.degrees
+    ]
+
+
+def report_checks(report):
+    """The checks that `verify --report` lists before `minimal`, as json.loads
+    reads them, rebuilt from a report's boundary verdict, degrees and
+    failures."""
+    bsq = "pass" if report.boundary_squared_zero else "fail"
+    checks = [{"name": "boundary_squared_zero", "status": bsq}]
+    for b, status, witness in acyclic_rows(report):
+        row = {"degree": Monomial(b).canonical(), "name": "acyclic", "status": status}
+        if witness is not None:
+            row["witness"] = witness
+        checks.append(row)
+    return checks

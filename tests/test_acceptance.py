@@ -43,7 +43,7 @@ from borelcell.resolution import (
     check_minimal,
     verify_resolution,
 )
-from references import lcm, monomials_of_degree, random_borel_minimal
+from references import lcm, monomials_of_degree, random_borel_minimal, report_checks
 
 
 def m(text, n=3):
@@ -206,19 +206,19 @@ def test_criterion_7_negative_control():
     I = expand_principal(m("c^2"))
     report = verify_resolution(broken, I)
     assert not report.ok
-    failing = [c for c in report.checks if c.status == "fail"]
+    failing = [c for c in report_checks(report) if c["status"] == "fail"]
     hole = m("a*b^2*c")
     lattice_degrees = [Monomial(b) for b in build_lattice(I).exps[1:]]
     expected = {b.canonical() for b in lattice_degrees if hole.divides(b)}
-    assert {c.degree for c in failing} == expected
+    assert {c["degree"] for c in failing} == expected
     # the divisibility-least failure is the label of the deleted square
     assert min(
-        (parse_monomial(c.degree, 3) for c in failing), key=canonical_key
+        (parse_monomial(c["degree"], 3) for c in failing), key=canonical_key
     ) == hole
     for c in failing:
-        assert c.witness["first_nonzero"] == 1
-    at_hole = next(c for c in failing if c.degree == hole.canonical())
-    assert at_hole.witness["reduced_homology"].count(1) == 1
+        assert c["witness"]["first_nonzero"] == 1
+    at_hole = next(c for c in failing if c["degree"] == hole.canonical())
+    assert at_hole["witness"]["reduced_homology"].count(1) == 1
     print(
         "criterion 7 PASS: deleting the square cell breaks acyclicity "
         "exactly at the degrees above a*b^2*c, with one-dimensional H_1"

@@ -24,7 +24,7 @@ from borelcell.exact import Field
 from borelcell.monomials import VarRange, canonical_key, parse_monomial
 from borelcell.resolution import check_minimal, verify_resolution
 from borelcell.serialize import dict_to_complex, export_json, import_json
-from references import record_writes
+from references import record_writes, report_checks
 
 BC5 = ["a^2", "a*b", "b^2", "a*c", "b*c"]
 MIXED = ["--vars", "4", "--borel", "ab,ac,a*d^2,b^2*c*d^2"]
@@ -494,8 +494,8 @@ class TestLattice:
             "--interval",
             "1..x1^4*x2^4*x3^4*x4^4",
         )
-        assert rc == 2
-        assert out == "atoms: 35\nelements: 591\n"
+        # found before the first print, as every input error is
+        assert (rc, out) == (2, "")
         assert err == "error: more than 100000 maximal chains\n"
 
     def test_out_file(self, capsys, tmp_path):
@@ -586,6 +586,20 @@ class TestLattice:
             "a-b",
         )
         assert (rc, out, err) == (2, "", "error: --interval must look like lo..hi\n")
+
+    # interval errors are found once the lattice is built, still before the
+    # first print
+    @pytest.mark.parametrize(
+        "interval, message",
+        [
+            ("a*b..a^2", "a*b does not divide a^2"),
+            ("1..a^3", "interval endpoints must be lattice elements"),
+        ],
+    )
+    def test_rejected_interval_prints_nothing(self, capsys, interval, message):
+        argv = ["lattice", "--vars", "2", "--borel", "b^2", "--check", "labels"]
+        rc, out, err = run(capsys, *argv, "--interval", interval)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestDeterminism:
@@ -856,7 +870,8 @@ def verify_inputs(tmp_path):
 class TestReportWriter:
     """verify --report writes each passing check from one template; its bytes
     are json.dumps(indent=2, sort_keys=True) of the document built from the
-    library report's checks, and the exit code follows its ok."""
+    library report's boundary verdict, degrees and failures, and the exit
+    code follows its ok."""
 
     @pytest.mark.parametrize("field", ["q", "p:2"])
     def test_against_json_dumps(self, capsys, tmp_path, field):
@@ -885,7 +900,7 @@ class TestReportWriter:
                 "config": config,
                 "config_hash": hashlib.sha256(blob).hexdigest(),
                 "ok": report.ok and minimal,
-                "checks": [c.as_dict() for c in report.checks]
+                "checks": report_checks(report)
                 + [{"name": "minimal", "status": "pass" if minimal else "fail"}],
             }
             expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -27,12 +27,12 @@ from borelcell.monomials import (
     _below_masks,
     _bits,
     _exps_key,
+    _exps_text,
     canonical_key,
     parse_monomial,
 )
 from borelcell.resolution import (
     ChainComplex,
-    CheckResult,
     _residual_homology,
     betti_from_cells,
     betti_totals,
@@ -43,7 +43,14 @@ from borelcell.resolution import (
     verify_resolution,
 )
 from borelcell.serialize import dict_to_complex, dumps
-from references import all_borel_ideals, and_select, lcm_many, monomials_of_degree
+from references import (
+    acyclic_rows,
+    all_borel_ideals,
+    and_select,
+    lcm_many,
+    monomials_of_degree,
+    report_checks,
+)
 
 Q = Field()
 DATA = Path(__file__).parent / "data"
@@ -157,10 +164,9 @@ class TestChainComplex:
         X = power_complex(3, VarRange(1, 3), 2)
         stub = flip_one_sign(X, dim)
         I = expand_principal(m("c^2"))
-        assert verify_resolution(X, I).checks[0].status == "pass"
-        assert verify_resolution(stub, I).checks[0].as_dict() == {
-            "name": "boundary_squared_zero", "status": "fail"
-        }
+        assert verify_resolution(X, I).boundary_squared_zero is True
+        report = verify_resolution(stub, I)
+        assert report.boundary_squared_zero is False and not report.ok
 
 
 class TestRankShape:
@@ -202,10 +208,9 @@ class TestVerifyResolution:
         report = verify_resolution(X, I)
         assert report.ok
         assert report.field == "q"
-        # one boundary check plus one acyclicity check per nonunit lattice degree
-        assert [c.name for c in report.checks[:1]] == ["boundary_squared_zero"]
-        assert len(report.checks) == 1 + 7
-        assert all(c.status == "pass" for c in report.checks)
+        # the boundary check, and one degree per nonunit lattice element
+        assert report.boundary_squared_zero is True
+        assert len(report.degrees) == 7 and report.failures == {}
 
     def test_power_complex_resolves_the_square(self):
         I = expand_principal(m("c^2"))
@@ -225,7 +230,7 @@ class TestVerifyResolution:
         r_p = verify_resolution(X, I, fld=Field.parse("p:32003"))
         assert r_q.ok and r_p.ok
         assert r_p.field == "p:32003"
-        assert [c.as_dict() for c in r_q.checks] == [c.as_dict() for c in r_p.checks]
+        assert report_checks(r_q) == report_checks(r_p)
 
     def test_detects_a_missing_cell(self):
         X = power_complex(3, VarRange(1, 3), 2)
@@ -234,10 +239,11 @@ class TestVerifyResolution:
         broken = LabeledComplex(3, faces)
         report = verify_resolution(broken, expand_principal(m("c^2")))
         assert not report.ok
-        failing = [c for c in report.checks if c.status == "fail"]
+        failing = [row for row in acyclic_rows(report) if row[1] == "fail"]
         assert failing
-        assert failing[0].degree == "x1*x2^2*x3"
-        assert failing[0].witness["first_nonzero"] == 1
+        b, _, witness = failing[0]
+        assert _exps_text(b) == "x1*x2^2*x3"
+        assert witness["first_nonzero"] == 1
 
     def test_already_oriented_complex_builds_no_monomial(self, monkeypatch):
         # P(5,3): the lattice of 1,004 elements, the kernel and the degree
@@ -252,12 +258,12 @@ class TestVerifyResolution:
         )
         report = verify_resolution(X, I)
         monkeypatch.undo()
-        assert report.ok and len(report.checks) == 1 + 1003
+        assert report.ok and len(report.degrees) == 1003
         assert built == []
         # the degrees it decided, in order, for the Koszul oracle
-        degrees = [c.degree for c in report.checks[1:]]
-        assert degrees == [Monomial(b).canonical() for b in build_lattice(I).exps[1:]]
         assert report.degrees == build_lattice(I).exps[1:]
+        degrees = [_exps_text(b) for b in report.degrees]
+        assert degrees == [Monomial(b).canonical() for b in report.degrees]
 
 
 class TestMinimality:
@@ -347,11 +353,10 @@ def oracle_check(X, I, fld, b):
 
 def assert_matches_oracle(X, I, fld):
     report = verify_resolution(X, I, fld)
-    acyc = [c for c in report.checks if c.name == "acyclic"]
     degrees = [Monomial(b) for b in build_lattice(I).exps[1:]]
-    assert [c.degree for c in acyc] == [b.canonical() for b in degrees]
-    for c, b in zip(acyc, degrees):
-        assert (c.status, c.witness) == oracle_check(X, I, fld, b), c.degree
+    assert report.degrees == tuple(b.exps for b in degrees)
+    for (_, status, witness), b in zip(acyclic_rows(report), degrees):
+        assert (status, witness) == oracle_check(X, I, fld, b), b
     return report
 
 
@@ -491,10 +496,10 @@ class TestKernelAgainstRestrictOracle:
         monkeypatch.undo()
         report = assert_matches_oracle(hollow_square(), I, fld)
         assert not report.ok
-        top = next(c for c in report.checks if c.degree == "x1*x2*x3*x4")
-        assert top.witness == {"reduced_homology": [0, 0, 1], "first_nonzero": 1}
-        path = next(c for c in report.checks if c.degree == "x1*x2*x3")
-        assert path.status == "pass"
+        top = report.failures[m("a*b*c*d", 4).exps]
+        assert top == {"reduced_homology": [0, 0, 1], "first_nonzero": 1}
+        path = m("a*b*c", 4).exps
+        assert path in report.degrees and path not in report.failures
 
     def test_collapsible_degrees_need_no_rank(self, monkeypatch):
         calls = []
@@ -545,7 +550,8 @@ class TestCellsAgainstBruteForce:
 
 
 def absolute_acyclicity_checks(X, fld, degrees):
-    """One check per degree: select, collapse all of X_{<=b}, eliminate."""
+    """(degree, status, witness or None) per degree, as acyclic_rows lists a
+    report: select, collapse all of X_{<=b}, eliminate."""
     cells = X.cells
     C = chain_complex(X)
     facets = [[fid for fid, _ in c.facets] for c in cells]
@@ -563,7 +569,7 @@ def absolute_acyclicity_checks(X, fld, degrees):
         below.append(masks)
 
     everything = (1 << len(cells)) - 1
-    checks = []
+    rows = []
     for b in degrees:
         live = everything
         for masks, e in zip(below, b.exps):
@@ -582,15 +588,8 @@ def absolute_acyclicity_checks(X, fld, degrees):
                 "reduced_homology": list(dims),
                 "first_nonzero": next(i - 1 for i, h in enumerate(dims) if h != 0),
             }
-        checks.append(
-            CheckResult(
-                name="acyclic",
-                status="pass" if ok else "fail",
-                exps=b.exps,
-                witness=witness,
-            )
-        )
-    return checks
+        rows.append((b.exps, "pass" if ok else "fail", witness))
+    return rows
 
 
 def absolute_collapse(live, comask, facets):
@@ -628,11 +627,11 @@ def assert_matches_absolute(X, I, fld):
     report, paths = kernel_paths(X, I, fld)
     degrees = [Monomial(b) for b in build_lattice(I).exps[1:]]
     reference = absolute_acyclicity_checks(X, fld, degrees)
-    assert list(report.checks[1:]) == reference
+    assert acyclic_rows(report) == reference
     labels = cell_label_exps(X)
-    for b, path, check in zip(report.degrees, paths, reference):
+    for path, (b, status, _) in zip(paths, reference):
         if path == "nerve":
-            assert b not in labels and check.status == "pass"
+            assert b not in labels and status == "pass"
     return report
 
 
@@ -722,7 +721,6 @@ def kernel_paths(X, I, fld=Q):
             paths.append("lower failed" if live & (live - 1) else "atom")
         else:
             paths.append("stuck" if left else "relative")
-    assert len(paths) == len(report.checks) - 1
     return report, paths
 
 
@@ -780,9 +778,9 @@ class TestKernelPaths:
             Y = drop_maximal_cell(X, pick)
             report, paths = kernel_paths(Y, I)
             reference = absolute_acyclicity_checks(Y, Q, degrees)
-            assert list(report.checks[1:]) == reference
-            for path, check in zip(paths, reference):
-                seen.add((path, check.status))
+            assert acyclic_rows(report) == reference
+            for path, (_, status, _) in zip(paths, reference):
+                seen.add((path, status))
         assert ("stuck", "fail") in seen
         assert ("lower failed", "fail") in seen
         assert ("nerve", "pass") in seen
@@ -800,14 +798,15 @@ class TestKernelPaths:
         I = expand_principal(m("c^2"))
         report, paths = kernel_paths(X, I)
         degrees = [Monomial(b) for b in report.degrees]
-        assert list(report.checks[1:]) == absolute_acyclicity_checks(X, Q, degrees)
-        decided = dict(zip(report.degrees, zip(paths, report.checks[1:])))
-        _, below = decided[m("a*b*c").exps]
-        assert below.status == "fail"
-        assert below.witness == {"reduced_homology": [0, 1, 0], "first_nonzero": 0}
-        path, above = decided[m("a^2*b*c").exps]
+        rows = acyclic_rows(report)
+        assert rows == absolute_acyclicity_checks(X, Q, degrees)
+        decided = dict(zip(report.degrees, zip(paths, rows)))
+        _, (_, status, witness) = decided[m("a*b*c").exps]
+        assert status == "fail"
+        assert witness == {"reduced_homology": [0, 1, 0], "first_nonzero": 0}
+        path, (_, status, witness) = decided[m("a^2*b*c").exps]
         assert path == "lower failed"
-        assert (above.status, above.witness) == ("pass", None)
+        assert (status, witness) == ("pass", None)
 
     def test_one_collapse_per_golden_drop_mutant_degree(self):
         # a stuck degree is ranked relative to its lower selection, never
@@ -838,7 +837,7 @@ class TestVerifyWalk:
         degrees = build_lattice(I).exps[1:]
         assert report.degrees == degrees
         reference = absolute_acyclicity_checks(X, Q, [Monomial(b) for b in degrees])
-        assert list(report.checks[1:]) == reference
+        assert acyclic_rows(report) == reference
         below = _below_masks(chain_complex(X).labels, X.n)
         assert lives == {b: and_select(below, b) for b in degrees}
         return report
@@ -917,7 +916,8 @@ class TestNerveShortcut:
             (b,) = cell_label_exps(X) - cell_label_exps(Y)
             I = BorelIdeal.from_expanded(Y.n, frozenset(Y.vertex_labels))
             report, paths = kernel_paths(Y, I)
-            statuses = [c.status for c in report.checks[1:]]
+            rows = acyclic_rows(report)
+            statuses = [status for _, status, _ in rows]
             i = report.degrees.index(b)
             assert statuses.index("fail") == i
             assert paths[i] != "nerve"
@@ -925,7 +925,7 @@ class TestNerveShortcut:
             assert reduce(or_, K.masks) not in K.masks  # not a full simplex
             degrees = [Monomial(e) for e in report.degrees]
             reference = absolute_acyclicity_checks(Y, Q, degrees)
-            assert report.checks[1 + i] == reference[i]
+            assert rows[i] == reference[i]
             count += 1
         assert count == 6 + 17
 
@@ -942,20 +942,20 @@ class TestNerveShortcut:
         assert reduce(or_, K.masks) in K.masks
         report, paths = kernel_paths(X, I)
         assert "nerve" not in paths
-        assert report.checks[-1] == CheckResult(
-            "acyclic",
-            "fail",
+        *rest, last = acyclic_rows(report)
+        assert last == (
             (2, 2),
+            "fail",
             {"reduced_homology": [0, 0, 1], "first_nonzero": 1},
         )
-        assert report.checks[-1].degree == "x1^2*x2^2"
-        assert [c.status for c in report.checks[1:-1]] == ["pass"] * 5
+        assert _exps_text(last[0]) == "x1^2*x2^2"
+        assert [status for _, status, _ in rest] == ["pass"] * 5
 
 
 class TestChecksView:
-    """verify_resolution keeps plain degrees and the failed ones' witnesses;
-    report.checks is built from them on first read and equals the checks
-    recorded in the golden reports, which held a CheckResult per degree."""
+    """A report holds the boundary verdict, the degrees and the failed ones'
+    witnesses; the checks rebuilt from these equal the checks recorded in
+    the golden reports."""
 
     @pytest.mark.parametrize(
         "source, golden",
@@ -976,32 +976,20 @@ class TestChecksView:
         I = BorelIdeal.from_expanded(X.n, frozenset(X.vertex_labels))
         *recorded, minimal = json.loads((DATA / golden).read_text())["checks"]
         assert minimal == {"name": "minimal", "status": "pass"}
-        expected = tuple(
-            CheckResult(
-                c["name"],
-                c["status"],
-                m(c["degree"], X.n).exps if "degree" in c else None,
-                c.get("witness"),
-            )
-            for c in recorded
-        )
-        unread = verify_resolution(X, I)
         twin = pickle.loads(pickle.dumps(verify_resolution(X, I)))
         report = verify_resolution(X, I)
-        assert report.checks == expected
-        assert report.checks is report.checks
-        assert [c.as_dict() for c in report.checks] == recorded
-        # degrees and failures agree with the checks after the first
-        assert report.degrees == tuple(c.exps for c in expected[1:])
-        assert report.failures == {
-            c.exps: c.witness for c in expected[1:] if c.status == "fail"
-        }
-        assert report.ok == all(c.status == "pass" for c in expected)
-        # equality and hash read the checks, read or not before
-        assert unread == report == verify_resolution(X, I)
-        assert twin == report and twin.checks == expected
-        if report.ok:
-            assert hash(unread) == hash(report) == hash((True, "q", expected))
-        else:
-            with pytest.raises(TypeError):
-                hash(report)  # a failed check's witness is a dict
+        assert report_checks(report) == recorded
+        assert report.subject is X and twin.subject is not X
+        # each field, read off the recorded checks
+        bsq, *rows = recorded
+        assert report.boundary_squared_zero is (bsq["status"] == "pass")
+        assert report.degrees == tuple(m(c["degree"], X.n).exps for c in rows)
+        failed = [c for c in rows if c["status"] == "fail"]
+        witnesses = {m(c["degree"], X.n).exps: c["witness"] for c in failed}
+        assert report.failures == witnesses
+        assert report.ok is all(c["status"] == "pass" for c in recorded)
+        # equality reads every field but the subject
+        assert twin == report == verify_resolution(X, I)
+        assert report_checks(twin) == recorded
+        with pytest.raises(TypeError):
+            hash(report)  # failures is a dict

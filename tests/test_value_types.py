@@ -27,7 +27,6 @@ from borelcell.lattice import (
 from borelcell.monomials import Monomial, VarRange, parse_monomial, unit
 from borelcell.resolution import (
     ChainComplex,
-    CheckResult,
     ResolutionReport,
     chain_complex,
     verify_resolution,
@@ -55,7 +54,6 @@ def one_of_each():
         is_ranked(L),
         natural_label_check(L, unit(3), m("a*b*c")),
         chain_complex(X),
-        CheckResult("acyclic", "pass", (1, 1)),
         # a complex of its own: power_complex caches, and other tests may
         # fill the cached complex's unpicklable mapping views
         verify_resolution(simplex([m("a", 2), m("b", 2)]), expand_principal(m("b", 2))),
@@ -73,8 +71,9 @@ FIELDS = {
     RankedReport: ("ranked", "criterion", "witness_cover", "witness_interval"),
     LabelChainReport: ("lo", "hi", "chains", "labels", "increasing", "decreasing"),
     ChainComplex: ("dims", "vertices", "labels", "columns"),
-    CheckResult: ("name", "status", "exps", "witness"),
-    ResolutionReport: ("ok", "field", "checks", "subject", "degrees", "failures"),
+    ResolutionReport: (
+        "ok", "field", "boundary_squared_zero", "degrees", "failures", "subject"
+    ),
 }
 
 
@@ -179,6 +178,13 @@ class TestField:
         with pytest.raises(ValueError):
             Field(4)
 
+    @pytest.mark.parametrize("p", [3.0, "3", True], ids=repr)
+    def test_p_must_be_an_int(self, p):
+        # a float or a string is no prime, even when it reads as one, and a
+        # bool, an int subclass, is neither; each a ValueError, not TypeError
+        with pytest.raises(ValueError, match="is not prime"):
+            Field(p)
+
 
 class TestBorelIdeal:
     def test_equality_and_hash(self):
@@ -240,19 +246,6 @@ class TestReports:
         assert r == LabelChainReport(r.lo, r.hi, r.chains, r.labels, (), ())
         assert r != LabelChainReport(r.lo, r.hi, r.chains, r.labels, (0,), ())
 
-    def test_check_result(self):
-        c = CheckResult("acyclic", "fail", (1, 2), {"cells": []})
-        kw = {"name": "acyclic", "status": "fail", "exps": (1, 2)}
-        assert c == CheckResult(**kw, witness={"cells": []})
-        assert c != CheckResult("acyclic", "fail", (1, 2))
-        assert CheckResult("minimal", "pass").exps is None
-        assert hash(CheckResult("x", "pass")) == hash(("x", "pass", None, None))
-        with pytest.raises(TypeError):
-            hash(c)  # the witness is a dict
-        assert repr(CheckResult("x", "pass")) == (
-            "CheckResult(name='x', status='pass', exps=None, witness=None)"
-        )
-
     def test_chain_complex(self):
         fields = (
             (0, 0, 1),
@@ -266,22 +259,32 @@ class TestReports:
         assert hash(C) == hash(fields)
         assert C != ChainComplex(*fields[:3], ((), (), ((0, -1), (1, 1))))
 
-    def test_resolution_report_ignores_subject_and_degrees(self):
+    def test_resolution_report_equality_ignores_only_the_subject(self):
         X = power_complex(2, VarRange(1, 2), 2)
         report = verify_resolution(X, expand_principal(m("b^2", 2)), Field())
-        assert report.subject is X and report.degrees
-        bare = ResolutionReport(report.ok, report.field, report.checks)
-        assert bare.subject is None and bare.degrees == ()
+        assert report.subject is X and report.degrees and report.failures == {}
+        fields = (True, "q", True, report.degrees, {})
+        bare = ResolutionReport(*fields)
+        assert bare.subject is None
         assert report == bare
-        assert hash(report) == hash(bare)
-        assert ResolutionReport(True, "q", (), subject=X, degrees=((1, 1),)) == (
-            ResolutionReport(True, "q", ())
-        )
-        assert report.failures == {} and bare.failures is None
-        assert ResolutionReport(True, "q", (), failures={}) == ResolutionReport(True, "q", ())
-        assert report != ResolutionReport(not report.ok, report.field, report.checks)
-        assert repr(ResolutionReport(True, "q", ())) == (
-            "ResolutionReport(ok=True, field='q', checks=())"
+        # a change to any one field but the subject is seen: the degrees
+        # alone, or the failures alone, included
+        witness = {"reduced_homology": [0, 1], "first_nonzero": 0}
+        assert report != ResolutionReport(*fields[:3], report.degrees[:-1], {})
+        assert report != ResolutionReport(*fields[:4], {report.degrees[-1]: witness})
+        assert report != ResolutionReport(False, *fields[1:])
+        assert report != ResolutionReport(True, "p:2", *fields[2:])
+        assert report != ResolutionReport(*fields[:2], False, *fields[3:])
+        one = ResolutionReport(*fields[:3], ((1, 1),), {})
+        assert one != ResolutionReport(*fields[:3], ((1, 2),), {})
+        assert one == ResolutionReport(*fields[:3], ((1, 1),), {}, subject=X)
+        # failures is a dict, so no report is hashable, passing or not
+        for r in (report, one):
+            with pytest.raises(TypeError):
+                hash(r)
+        assert repr(ResolutionReport(True, "q", True, ((1, 1),), {}, X)) == (
+            "ResolutionReport(ok=True, field='q', boundary_squared_zero=True, "
+            "degrees=((1, 1),), failures={})"
         )
 
     def test_lattice_equality(self):
